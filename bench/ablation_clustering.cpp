@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
          Table::num(static_cast<long>(cluster::cluster_count(result.labels))),
          Table::num(cluster::adjusted_rand_index(result.labels, truth)),
          Table::num(cluster::purity(result.labels, truth)),
-         Table::num(result.cluster_seconds())});
+         Table::num(result.report.seconds("cluster"))});
   }
   bench::emit("Fig. 6 workload, both backends", table);
 

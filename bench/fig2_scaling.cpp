@@ -5,16 +5,16 @@
 // cubically decaying spectrum over 1–128 MPI ranks. This harness is the
 // *measured* in-process realization: a core::ShardedSketcher round-robins
 // the stream across P concurrent FD shards on the shared pool, and the
-// merge phase compares serial_merge / tree_merge (serial execution) /
-// parallel_tree_merge (pool-executed) by real wall time, with the modeled
-// makespan reported alongside. On a single-core host the ingest columns
-// are flat — the bench reports the host/pool size so that is legible —
-// while the merge-strategy walls and the exact critical-path structure
-// (levels, shrink counts, dispatched groups) remain meaningful anywhere.
+// merge phase compares serial_merge / tree_merge run inline / tree_merge
+// on the shared pool by real wall time. On a single-core host the ingest
+// columns are flat — the bench reports the host/pool size so that is
+// legible — while the merge-strategy walls and the exact critical-path
+// structure (levels, shrink counts, dispatched groups) remain meaningful
+// anywhere.
 //
 // Expected shape (≥4 cores): ingest rows/s grows with shards until the
-// memory bus saturates; parallel tree-merge wall beats the serial fold at
-// P ≥ 4 and tracks the modeled critical path.
+// memory bus saturates; the pool-executed tree-merge wall beats the
+// serial fold at P ≥ 4.
 //
 // --json-out writes BENCH_merge.json (via tools/bench_to_json.sh
 // fig2_scaling); tools/check_merge_scaling.sh gates on those fields.
@@ -46,9 +46,8 @@ struct ShardRow {
   double ingest_rows_per_s = 0.0;
   double ingest_speedup = 0.0;       ///< vs the 1-shard row
   double serial_merge_s = 0.0;       ///< serial_merge measured wall
-  double tree_merge_s = 0.0;         ///< tree_merge (serial exec) wall
-  double parallel_merge_s = 0.0;     ///< parallel_tree_merge measured wall
-  double parallel_modeled_s = 0.0;   ///< its modeled critical path
+  double tree_merge_s = 0.0;         ///< tree_merge inline wall
+  double parallel_merge_s = 0.0;     ///< tree_merge on the shared pool
   long merge_levels = 0;
   long merge_ops = 0;
   long parallel_groups = 0;          ///< groups dispatched to the pool
@@ -99,7 +98,6 @@ void write_json(const std::string& path, const std::vector<ShardRow>& rows,
         << ", \"serial_merge_s\": " << r.serial_merge_s
         << ", \"tree_merge_s\": " << r.tree_merge_s
         << ", \"parallel_merge_s\": " << r.parallel_merge_s
-        << ", \"parallel_merge_modeled_s\": " << r.parallel_modeled_s
         << ", \"merge_levels\": " << r.merge_levels
         << ", \"merge_ops\": " << r.merge_ops
         << ", \"parallel_groups\": " << r.parallel_groups << "}"
@@ -147,8 +145,7 @@ int main(int argc, char** argv) {
 
   bench::banner("Figure 2 (strong scaling, measured sharded ingest + merge)",
                 full,
-                "real pool-executed shards and tree merges; modeled "
-                "critical path reported alongside");
+                "real pool-executed shards and tree merges");
   std::cout << "host cores: " << std::thread::hardware_concurrency()
             << ", shared pool threads: "
             << parallel::shared_pool().thread_count() << "\n";
@@ -173,7 +170,7 @@ int main(int argc, char** argv) {
   std::vector<ShardRow> rows;
   Table table({"shards", "ingest_rows_per_s", "ingest_speedup",
                "serial_merge_s", "tree_merge_s", "parallel_merge_s",
-               "parallel_modeled_s", "parallel_vs_serial"});
+               "parallel_vs_serial"});
 
   double base_rate = 0.0;
   for (std::size_t p = 1; p <= max_shards; p *= 2) {
@@ -209,8 +206,8 @@ int main(int argc, char** argv) {
         copy = shard_sketches;
         core::tree_merge(std::move(copy), ell, 2, &tree_stats);
         copy = shard_sketches;
-        core::parallel_tree_merge(std::move(copy), ell, 2, &rep_par_stats,
-                                  &parallel::shared_pool());
+        core::tree_merge(std::move(copy), ell, 2, &rep_par_stats,
+                         &parallel::shared_pool());
         const auto keep_min = [rep](double& slot, double wall) {
           slot = (rep == 0) ? wall : std::min(slot, wall);
         };
@@ -220,8 +217,6 @@ int main(int argc, char** argv) {
                  tree_stats.critical_path_seconds_measured);
         keep_min(row.parallel_merge_s,
                  rep_par_stats.critical_path_seconds_measured);
-        keep_min(row.parallel_modeled_s,
-                 rep_par_stats.critical_path_seconds_modeled);
         par_stats = rep_par_stats;
       }
       row.merge_levels = par_stats.levels;
@@ -235,7 +230,6 @@ int main(int argc, char** argv) {
          Table::num(row.ingest_rows_per_s), Table::num(row.ingest_speedup),
          Table::num(row.serial_merge_s), Table::num(row.tree_merge_s),
          Table::num(row.parallel_merge_s),
-         Table::num(row.parallel_modeled_s),
          Table::num(row.parallel_merge_s > 0.0
                         ? row.serial_merge_s / row.parallel_merge_s
                         : 1.0)});

@@ -1,5 +1,8 @@
 // Figure 3 — error vs number of cores (log-log), tree vs serial merge.
 //
+// Each core sketches its own contiguous row range with FD; the per-core
+// sketches are then reduced by tree_merge and by serial_merge.
+//
 // Expected shape: the tree-merge error tracks the serial-merge error
 // closely across core counts — the mergeable-summary guarantee does not
 // degrade in the branching scheme.
@@ -7,10 +10,11 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "core/fd.hpp"
+#include "core/merge.hpp"
 #include "data/synthetic.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/norms.hpp"
-#include "parallel/virtual_cores.hpp"
 
 int main(int argc, char** argv) {
   using namespace arams;
@@ -60,24 +64,21 @@ int main(int argc, char** argv) {
   Table table({"cores", "tree_error_rel", "serial_error_rel",
                "tree/serial", "fd_bound_rel"});
   for (std::size_t cores = 1; cores <= max_cores; cores *= 2) {
-    double errors[2] = {0.0, 0.0};
-    int idx = 0;
-    for (const auto strategy :
-         {parallel::MergeStrategy::kTree, parallel::MergeStrategy::kSerial}) {
-      parallel::ScalingConfig config;
-      config.num_cores = cores;
-      config.ell = ell;
-      config.strategy = strategy;
-      const parallel::ScalingResult r = parallel::run_sharded_sketch(
-          config, [&](std::size_t core) {
-            const std::size_t r0 = core * n / cores;
-            const std::size_t r1 = (core + 1) * n / cores;
-            return a.slice_rows(r0, r1);
-          });
-      Rng power(42);
-      errors[idx++] = linalg::covariance_error_relative(a, r.sketch, power,
-                                                        power_iters);
+    std::vector<linalg::Matrix> sketches(cores);
+    for (std::size_t core = 0; core < cores; ++core) {
+      core::FrequentDirections fd(core::FdConfig{ell, /*fast=*/true});
+      fd.append_batch(a.slice_rows(core * n / cores, (core + 1) * n / cores));
+      fd.compress();
+      sketches[core] = fd.sketch();
     }
+    const auto error = [&](const linalg::Matrix& merged) {
+      Rng power(42);
+      return linalg::covariance_error_relative(a, merged, power,
+                                               power_iters);
+    };
+    const double errors[2] = {
+        error(core::tree_merge(sketches, ell)),
+        error(core::serial_merge(sketches, ell))};
     table.add_row({Table::num(static_cast<long>(cores)),
                    Table::num(errors[0]), Table::num(errors[1]),
                    Table::num(errors[1] > 0 ? errors[0] / errors[1] : 1.0),

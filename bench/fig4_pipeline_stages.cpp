@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
 
   CliFlags flags;
   flags.declare("size", "32", "frame height/width");
-  flags.declare("cores", "4", "virtual sketching cores");
+  flags.declare("cores", "4", "range-partitioned batch shards");
   flags.declare("full", "false", "larger frame counts");
   flags.declare("help", "false", "print usage");
   flags.parse(argc, argv);
@@ -59,15 +59,16 @@ int main(int argc, char** argv) {
     const double total = timer.seconds();
     // The streaming stages are preprocess + sketch + project; UMAP and
     // clustering run on operator demand over the reservoir.
-    const double streaming =
-        r.preprocess_seconds() + r.sketch_seconds() + r.project_seconds();
+    const obs::StageReport& rep = r.report;
+    const double streaming = rep.seconds("preprocess") +
+                             rep.seconds("sketch") + rep.seconds("project");
     table.add_row({Table::num(static_cast<long>(frames)),
-                   Table::num(r.preprocess_seconds()),
-                   Table::num(r.sketch_seconds()),
-                   Table::num(r.merge_stats().merge_ops),
-                   Table::num(r.project_seconds()),
-                   Table::num(r.embed_seconds()),
-                   Table::num(r.cluster_seconds()), Table::num(total),
+                   Table::num(rep.seconds("preprocess")),
+                   Table::num(rep.seconds("sketch")),
+                   Table::num(rep.counter("merge_ops")),
+                   Table::num(rep.seconds("project")),
+                   Table::num(rep.seconds("embed")),
+                   Table::num(rep.seconds("cluster")), Table::num(total),
                    Table::num(1e6 * streaming /
                               static_cast<double>(frames))});
   }

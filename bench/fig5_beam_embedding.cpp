@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
   CliFlags flags;
   flags.declare("frames", "500", "beam-profile frames (paper: full run)");
   flags.declare("size", "32", "frame height/width");
-  flags.declare("cores", "4", "virtual sketching cores");
+  flags.declare("cores", "4", "range-partitioned batch shards");
   flags.declare("full", "false", "larger run (2000 frames, 64x64)");
   flags.declare("help", "false", "print usage");
   flags.parse(argc, argv);

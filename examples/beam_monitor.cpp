@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   CliFlags flags;
   flags.declare("frames", "600", "number of beam-profile frames");
   flags.declare("size", "48", "frame height/width in pixels");
-  flags.declare("cores", "4", "virtual cores for sketching");
+  flags.declare("cores", "4", "range-partitioned batch shards");
   flags.declare("out", "", "optional CSV path for the embedding");
   flags.declare("html", "", "optional interactive HTML scatter path");
   flags.declare("pointing", "false",
@@ -110,10 +110,11 @@ int main(int argc, char** argv) {
   }
   if (exotic_total > 0) exotic_gap /= static_cast<double>(exotic_total);
 
-  std::cout << "\npipeline timings: sketch " << result.sketch_seconds()
-            << " s, project " << result.project_seconds() << " s, UMAP "
-            << result.embed_seconds() << " s, cluster "
-            << result.cluster_seconds() << " s\n"
+  const obs::StageReport& timings = result.report;
+  std::cout << "\npipeline timings: sketch " << timings.seconds("sketch")
+            << " s, project " << timings.seconds("project") << " s, UMAP "
+            << timings.seconds("embed") << " s, cluster "
+            << timings.seconds("cluster") << " s\n"
             << "final sketch rank: " << result.final_ell << "\n"
             << "|corr(embedding axis, CoM offset)|      = " << best_com
             << "\n"

@@ -60,9 +60,9 @@ int main(int argc, char** argv) {
             << "adjusted Rand index vs latent classes = " << ari << "\n"
             << "purity                                = " << pur << "\n"
             << "embedding silhouette                  = " << sil << "\n"
-            << "timings: sketch " << result.sketch_seconds() << " s, UMAP "
-            << result.embed_seconds() << " s, cluster "
-            << result.cluster_seconds() << " s\n";
+            << "timings: sketch " << result.report.seconds("sketch")
+            << " s, UMAP " << result.report.seconds("embed") << " s, cluster "
+            << result.report.seconds("cluster") << " s\n";
 
   if (const std::string& out = flags.get("out"); !out.empty()) {
     Table table({"x", "y", "cluster", "truth"});

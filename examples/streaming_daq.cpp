@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
       const stream::SnapshotResult snap = monitor.snapshot();
       std::cout << "[shot " << seen << "] snapshot of "
                 << snap.embedding.rows() << " frames in "
-                << snap.snapshot_seconds() << " s; sketch rank "
+                << snap.report.seconds("snapshot") << " s; sketch rank "
                 << monitor.current_ell() << "; sketch error gauge "
                 << monitor.sketch_error_estimate()
                 << "; throughput so far "

@@ -9,7 +9,7 @@
 //             interface + make_sketcher factory, sketch merging
 //   stream    MonitoringPipeline, StreamingMonitor, sources, diagnostics,
 //             DAQ event building
-//   parallel  ThreadPool, virtual-core scaling driver
+//   parallel  ThreadPool (the shared pool shards and merges run on)
 //   obs       MetricsRegistry, ScopedSpan traces, StageReport
 //   data      synthetic LCLS workload generators
 //   embed     embedding quality metrics + HTML scatter export
@@ -47,7 +47,6 @@
 #include "obs/trace.hpp"
 #include "obs/window.hpp"
 #include "parallel/thread_pool.hpp"
-#include "parallel/virtual_cores.hpp"
 #include "stream/bounded_queue.hpp"
 #include "stream/diagnostics.hpp"
 #include "stream/event_builder.hpp"

@@ -22,8 +22,8 @@ namespace {
 
 /// Per-merge scratch: one workspace + SVD output pair serves every shrink
 /// in a merge call, so repeated reductions reuse the same arenas instead
-/// of allocating Gram/eig buffers per level. parallel_tree_merge holds one
-/// per concurrent group slot — workspaces are not thread-safe.
+/// of allocating Gram/eig buffers per level. tree_merge holds one per
+/// concurrent group slot — workspaces are not thread-safe.
 struct MergeScratch {
   linalg::Workspace ws;
   linalg::SigmaVt svd;
@@ -119,69 +119,22 @@ Matrix serial_merge(std::vector<Matrix> sketches, std::size_t ell,
     const double s = timer.seconds();
     ++local.merge_ops;
     ++local.levels;
+    // Serial merging happens on one core: every shrink is on the critical
+    // path.
     ++local.critical_path_ops;
     local.total_seconds += s;
-    // Serial merging happens on one core: every shrink is on the critical
-    // path, and the model equals the measurement.
-    local.critical_path_seconds += s;
   }
-  local.critical_path_seconds_modeled = local.critical_path_seconds;
   local.critical_path_seconds_measured = wall.seconds();
   if (stats != nullptr) *stats = local;
   return acc;
 }
 
 Matrix tree_merge(std::vector<Matrix> sketches, std::size_t ell,
-                  std::size_t arity, MergeStats* stats) {
+                  std::size_t arity, MergeStats* stats,
+                  parallel::ThreadPool* pool) {
   ARAMS_CHECK(!sketches.empty(), "merge of zero sketches");
   ARAMS_CHECK(arity >= 2, "tree arity must be >= 2");
   const obs::ScopedSpan span("merge.tree");
-  static obs::Counter& merge_ops = obs::metrics().counter("merge.ops");
-  MergeStats local;
-  MergeScratch scratch;
-  Stopwatch wall;
-  while (sketches.size() > 1) {
-    // One span per reduction level — the unit the critical-path model in
-    // parallel/virtual_cores charges for (slowest group per level).
-    const obs::ScopedSpan level_span(
-        "merge.level" + std::to_string(local.levels));
-    std::vector<Matrix> next;
-    next.reserve((sketches.size() + arity - 1) / arity);
-    double slowest_in_level = 0.0;
-    for (std::size_t g = 0; g < sketches.size(); g += arity) {
-      merge_ops.add(1);
-      const std::size_t end = std::min(g + arity, sketches.size());
-      Matrix stacked = std::move(sketches[g]);
-      for (std::size_t i = g + 1; i < end; ++i) {
-        stacked = Matrix::vstack(stacked, sketches[i]);
-      }
-      Stopwatch timer;
-      next.push_back(shrink_to_ell(stacked, ell, scratch));
-      const double s = timer.seconds();
-      ++local.merge_ops;
-      local.total_seconds += s;
-      slowest_in_level = std::max(slowest_in_level, s);
-    }
-    ++local.levels;
-    // All groups of a level run concurrently on a cluster; the level costs
-    // its slowest group. This loop executes serially — the measured
-    // makespan is the serial wall, which is what parallel_tree_merge beats.
-    ++local.critical_path_ops;
-    local.critical_path_seconds += slowest_in_level;
-    sketches = std::move(next);
-  }
-  local.critical_path_seconds_modeled = local.critical_path_seconds;
-  local.critical_path_seconds_measured = wall.seconds();
-  if (stats != nullptr) *stats = local;
-  return std::move(sketches.front());
-}
-
-Matrix parallel_tree_merge(std::vector<Matrix> sketches, std::size_t ell,
-                           std::size_t arity, MergeStats* stats,
-                           parallel::ThreadPool* pool) {
-  ARAMS_CHECK(!sketches.empty(), "merge of zero sketches");
-  ARAMS_CHECK(arity >= 2, "tree arity must be >= 2");
-  const obs::ScopedSpan span("merge.parallel_tree");
   static obs::Counter& merge_ops = obs::metrics().counter("merge.ops");
   static obs::Counter& groups_dispatched =
       obs::metrics().counter("merge.parallel_groups");
@@ -224,18 +177,14 @@ Matrix parallel_tree_merge(std::vector<Matrix> sketches, std::size_t ell,
     }
     merge_ops.add(static_cast<long>(groups));
     local.merge_ops += static_cast<long>(groups);
-    double slowest_in_level = 0.0;
     for (std::size_t g = 0; g < groups; ++g) {
       local.total_seconds += group_seconds[g];
-      slowest_in_level = std::max(slowest_in_level, group_seconds[g]);
     }
     ++local.levels;
     ++local.critical_path_ops;
-    local.critical_path_seconds_modeled += slowest_in_level;
     local.critical_path_seconds_measured += level_timer.seconds();
     sketches = std::move(next);
   }
-  local.critical_path_seconds = local.critical_path_seconds_modeled;
   if (stats != nullptr) *stats = local;
   return std::move(sketches.front());
 }

@@ -25,23 +25,13 @@ struct MergeStats {
   long critical_path_ops = 0;   ///< shrinks a real parallel run would wait on
   long parallel_groups = 0;     ///< merge groups actually dispatched to a pool
   double total_seconds = 0.0;   ///< wall time of all shrinks (work)
-  /// Legacy accessor: the *modeled* makespan (slowest-group-per-level
-  /// simulation). Always equals critical_path_seconds_modeled — kept so
-  /// pre-existing consumers (virtual_cores, figure tests) read the model
-  /// they were written against.
-  double critical_path_seconds = 0.0;
-  /// Modeled makespan: sum over levels of the slowest group's shrink time,
-  /// i.e. what a cluster with one core per group would wait.
-  double critical_path_seconds_modeled = 0.0;
   /// Measured makespan: real wall time of the reduction as executed (the
-  /// sum of per-level wall times — for parallel_tree_merge this is the
-  /// actual concurrent schedule, for serial_merge/tree_merge the serial
-  /// execution wall).
+  /// sum of per-level wall times — with a pool this is the actual
+  /// concurrent schedule, otherwise the serial execution wall).
   double critical_path_seconds_measured = 0.0;
 };
 
-/// Folds merge counters/timings into a StageReport (stages "merge",
-/// "merge_critical_path" — the modeled makespan, legacy key — and
+/// Folds merge counters/timings into a StageReport (stages "merge" and
 /// "merge_critical_path_measured").
 inline void append_to_report(const MergeStats& stats,
                              obs::StageReport& report) {
@@ -50,24 +40,8 @@ inline void append_to_report(const MergeStats& stats,
   report.add_counter("merge_critical_path_ops", stats.critical_path_ops);
   report.add_counter("merge_parallel_groups", stats.parallel_groups);
   report.add_seconds("merge", stats.total_seconds);
-  report.add_seconds("merge_critical_path", stats.critical_path_seconds);
   report.add_seconds("merge_critical_path_measured",
                      stats.critical_path_seconds_measured);
-}
-
-/// Inverse of append_to_report — backs the legacy `merge_stats` accessor.
-inline MergeStats merge_stats_from_report(const obs::StageReport& report) {
-  MergeStats stats;
-  stats.merge_ops = report.counter("merge_ops");
-  stats.levels = report.counter("merge_levels");
-  stats.critical_path_ops = report.counter("merge_critical_path_ops");
-  stats.parallel_groups = report.counter("merge_parallel_groups");
-  stats.total_seconds = report.seconds("merge");
-  stats.critical_path_seconds = report.seconds("merge_critical_path");
-  stats.critical_path_seconds_modeled = stats.critical_path_seconds;
-  stats.critical_path_seconds_measured =
-      report.seconds("merge_critical_path_measured");
-  return stats;
 }
 
 /// Merges a group of sketches into one ℓ-row sketch with a single FD
@@ -80,26 +54,17 @@ linalg::Matrix serial_merge(std::vector<linalg::Matrix> sketches,
                             std::size_t ell, MergeStats* stats = nullptr);
 
 /// Branching reduction with the given arity (default binary). Each level
-/// merges disjoint groups; a real cluster executes every group of a level
-/// in parallel, so only the slowest group of each level hits the critical
-/// path — that is what critical_path_ops/seconds record.
+/// merges disjoint groups, so only one shrink per level is on the critical
+/// path (critical_path_ops = ⌈log_a P⌉). With a `pool` of more than one
+/// thread every level's groups run concurrently on it; otherwise they run
+/// inline on the calling thread. Group g of a level owns scratch arena g
+/// and writes result slot g, so the reduction is bitwise identical at any
+/// thread count — scheduling decides only *when* a group runs, never what
+/// it computes. Groups stack into workspace scratch (no per-step vstack
+/// allocations), so repeated merges are allocation-free at steady state.
 linalg::Matrix tree_merge(std::vector<linalg::Matrix> sketches,
                           std::size_t ell, std::size_t arity = 2,
-                          MergeStats* stats = nullptr);
-
-/// tree_merge executed for real: every level's disjoint groups run
-/// concurrently on `pool` (nullptr → inline on the calling thread; the
-/// factory and pipeline pass &parallel::shared_pool()). Group g of a
-/// level owns scratch arena g and writes result slot g, so the reduction is
-/// bitwise identical to tree_merge at any thread count — scheduling decides
-/// only *when* a group runs, never what it computes. Groups stack into
-/// workspace scratch (no per-step vstack allocations), so repeated merges
-/// are allocation-free at steady state even single-threaded.
-/// `stats->critical_path_seconds_measured` is the real wall time of the
-/// reduction; the modeled makespan is still reported alongside.
-linalg::Matrix parallel_tree_merge(std::vector<linalg::Matrix> sketches,
-                                   std::size_t ell, std::size_t arity = 2,
-                                   MergeStats* stats = nullptr,
-                                   parallel::ThreadPool* pool = nullptr);
+                          MergeStats* stats = nullptr,
+                          parallel::ThreadPool* pool = nullptr);
 
 }  // namespace arams::core

@@ -132,8 +132,8 @@ Matrix ShardedSketcher::sketch() {
   }
   if (parts.empty()) return Matrix(0, d);
   if (parts.size() == 1) return std::move(parts.front());
-  return parallel_tree_merge(std::move(parts), current_ell(), 2,
-                             &last_merge_stats_, pool_);
+  return tree_merge(std::move(parts), current_ell(), 2, &last_merge_stats_,
+                    pool_);
 }
 
 std::size_t ShardedSketcher::current_ell() const {

@@ -55,7 +55,7 @@ class ShardedSketcher final : public Sketcher {
   [[nodiscard]] std::string name() const override;
 
   /// Base report plus the stats of the last sketch()-time merge (the
-  /// "merge_*" keys, including the measured-vs-modeled makespan pair).
+  /// "merge_*" keys, including the measured merge wall).
   void report(obs::StageReport& out) const override;
 
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
@@ -64,7 +64,7 @@ class ShardedSketcher final : public Sketcher {
   /// "sketch.shard_rows.<s>" gauge after every batch).
   [[nodiscard]] long shard_rows(std::size_t s) const;
 
-  /// Stats of the most recent sketch()-time parallel tree merge; zeros
+  /// Stats of the most recent sketch()-time tree merge; zeros
   /// before the first sketch() call.
   [[nodiscard]] const MergeStats& last_merge_stats() const {
     return last_merge_stats_;

@@ -272,7 +272,6 @@ class ExactSearcher final : public ann::PointStoreSearcher {
 
 /// Size-based dispatch: the concrete backend is chosen at build() time —
 /// exact at or below config.exact_threshold indexed points, rpforest above.
-/// This policy replaces the old hard-coded UmapConfig::exact_knn_threshold.
 class AutoSearcher final : public NeighborSearcher {
  public:
   explicit AutoSearcher(AnnConfig config) : config_(std::move(config)) {}

@@ -20,9 +20,7 @@
 //             through embed::pairwise_gram, multi-tree candidate union and
 //             NN-descent refinement seeded from the forest candidates.
 //   auto      size-based dispatch — exact at or below
-//             AnnConfig::exact_threshold indexed points, rpforest above
-//             (this policy replaces the old hard-coded
-//             UmapConfig::exact_knn_threshold magic constant).
+//             AnnConfig::exact_threshold indexed points, rpforest above.
 //
 // ## Contract (uniform across backends, enforced by tests/test_ann.cpp)
 //
@@ -60,7 +58,7 @@ namespace arams::embed {
 struct AnnConfig {
   std::string backend = "auto";    ///< exact | rpforest | auto
   /// "auto" dispatch policy: exact at or below this many indexed points,
-  /// rpforest above. Successor of UmapConfig::exact_knn_threshold.
+  /// rpforest above.
   std::size_t exact_threshold = 4096;
   std::size_t num_trees = 8;       ///< rpforest: trees in the forest
   std::size_t leaf_size = 32;      ///< rpforest: max points per leaf

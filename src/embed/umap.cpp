@@ -666,15 +666,9 @@ Matrix umap_transform(const Matrix& reference_points,
 }
 
 /// The effective searcher config for an embedding run: `seed` flows into
-/// the searcher stream, and a legacy non-default exact_knn_threshold is
-/// honored while knn.exact_threshold is untouched (deprecation shim).
+/// the searcher stream.
 AnnConfig umap_knn_config(const UmapConfig& config) {
   AnnConfig ann = config.knn;
-  const UmapConfig default_umap;
-  if (config.exact_knn_threshold != default_umap.exact_knn_threshold &&
-      ann.exact_threshold == AnnConfig{}.exact_threshold) {
-    ann.exact_threshold = config.exact_knn_threshold;
-  }
   ann.seed = config.seed ^ 0xabcdefull;
   return ann;
 }

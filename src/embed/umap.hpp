@@ -42,11 +42,6 @@ struct UmapConfig {
   /// from `seed` so one knob controls the whole embedding.
   AnnConfig knn;
 
-  /// DEPRECATED — use knn.exact_threshold (`--knn-exact-threshold`).
-  /// Honored through a compatibility shim: a non-default value here is
-  /// carried into knn.exact_threshold as long as the latter is untouched.
-  std::size_t exact_knn_threshold = 4096;
-
   /// SGD layout strategy.
   ///  * kSerial — the reference single-threaded loop: edges visited in
   ///    order, one shared RNG stream. Bitwise-reproducible run to run.
@@ -102,10 +97,9 @@ linalg::Matrix spectral_init(const FuzzyGraph& graph,
                              int iterations = 200);
 
 /// The effective searcher config an embedding run derives from `config`:
-/// `config.seed` flows into the searcher stream and the deprecated
-/// exact_knn_threshold field is honored via the compatibility shim. The
-/// streaming monitor uses the same derivation so its warm snapshot index
-/// matches what umap_embed would build.
+/// `config.seed` flows into the searcher stream. The streaming monitor uses
+/// the same derivation so its warm snapshot index matches what umap_embed
+/// would build.
 [[nodiscard]] AnnConfig umap_knn_config(const UmapConfig& config);
 
 /// Full UMAP embedding of `points` (n×d) into n×n_components.

@@ -39,11 +39,6 @@ struct SymmetricEig {
   /// Convergence effort: Jacobi sweeps or implicit-QL shift iterations,
   /// depending on the method that produced this result.
   int iterations = 0;
-
-  /// Deprecated Jacobi-era name for `iterations`.
-  [[deprecated("use iterations")]] [[nodiscard]] int sweeps() const {
-    return iterations;
-  }
 };
 
 class Workspace;

@@ -6,8 +6,8 @@
 // mutex once; the returned reference stays valid for the registry's
 // lifetime, so hot paths resolve their metric once (e.g. a function-local
 // static) and then record with relaxed atomics only. ThreadPool workers and
-// virtual-core shards record concurrently without contending on anything
-// but the cache line of the metric itself.
+// sketch shards record concurrently without contending on anything but the
+// cache line of the metric itself.
 
 #include <atomic>
 #include <functional>

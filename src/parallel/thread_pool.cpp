@@ -110,6 +110,13 @@ std::future<void> ThreadPool::submit(std::function<void()> task) {
 
 ThreadPool& shared_pool() {
   static ThreadPool pool([] {
+    // Function-local statics die in reverse order of construction. The
+    // workers touch the metrics registry and the span registries until
+    // they are joined in ~ThreadPool, so build those singletons before
+    // the pool: they then outlive it at process exit.
+    (void)obs::metrics();
+    (void)obs::span_stacks();
+    (void)obs::tracer();
     if (const char* env = std::getenv("ARAMS_POOL_THREADS")) {
       const long n = std::strtol(env, nullptr, 10);
       if (n > 0) return static_cast<std::size_t>(n);

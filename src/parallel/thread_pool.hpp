@@ -1,6 +1,6 @@
 #pragma once
 // Fixed-size worker pool. The sketching shards are coarse-grained (one task
-// per virtual core), so a simple mutex-guarded queue is plenty; no
+// per shard or merge group), so a simple mutex-guarded queue is plenty; no
 // work-stealing needed.
 //
 // Telemetry: every pool reports "pool.queue_depth" (gauge), per-task

@@ -2,7 +2,7 @@
 // Deterministic, stream-splittable random number generation.
 //
 // The sketching pipeline must be reproducible given a seed, including when
-// work is sharded across virtual cores. SplitMix64 seeds independent
+// work is sharded. SplitMix64 seeds independent
 // xoshiro256** streams; `Rng::split(i)` derives the stream for core i.
 
 #include <cstdint>
@@ -11,13 +11,13 @@
 namespace arams {
 
 /// xoshiro256** PRNG with Gaussian sampling. Cheap to copy; not thread-safe
-/// (give each thread / virtual core its own instance via split()).
+/// (give each thread / shard its own instance via split()).
 class Rng {
  public:
   /// Seeds the state from a 64-bit seed via SplitMix64 expansion.
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull);
 
-  /// Derives an independent stream for shard `index` (used per virtual core).
+  /// Derives an independent stream for shard `index`.
   [[nodiscard]] Rng split(std::uint64_t index) const;
 
   /// Next raw 64 random bits.

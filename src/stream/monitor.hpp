@@ -74,11 +74,6 @@ struct SnapshotResult {
 
   /// Stage timings for this snapshot ("snapshot" = end-to-end).
   obs::StageReport report;
-
-  // Legacy accessor (kept for one release; prefer `report`).
-  [[nodiscard]] double snapshot_seconds() const {
-    return report.seconds("snapshot");
-  }
 };
 
 /// Streaming monitor with a persistent sketch and a frame reservoir. The

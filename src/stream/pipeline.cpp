@@ -5,12 +5,12 @@
 #include <span>
 #include <sstream>
 
+#include "core/merge.hpp"
 #include "embed/pca.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "obs/window.hpp"
-#include "parallel/thread_pool.hpp"
 #include "util/check.hpp"
 #include "util/stopwatch.hpp"
 
@@ -232,29 +232,19 @@ PipelineResult MonitoringPipeline::run_stages(
     const obs::ScopedSpan stage_span("pipeline.sketch");
     const std::size_t n = rows.rows();
     const std::size_t cores = std::min<std::size_t>(config_.num_cores, n);
-    std::vector<core::AramsResult> shards(cores);
-    const auto run_shard = [&](std::size_t c) {
-      const std::size_t r0 = c * n / cores;
-      const std::size_t r1 = (c + 1) * n / cores;
-      if (r1 <= r0) return;
-      core::AramsConfig shard_config = config_.sketch;
-      shard_config.seed = config_.sketch.seed + c;
-      core::Arams sketcher(shard_config);
-      shards[c] = sketcher.sketch_matrix(rows.slice_rows(r0, r1));
-    };
-    if (config_.use_threads && cores > 1) {
-      parallel::ThreadPool pool(std::min<std::size_t>(cores, 8));
-      pool.parallel_for(cores, run_shard);
-    } else {
-      for (std::size_t c = 0; c < cores; ++c) {
-        run_shard(c);
-      }
-    }
     std::vector<Matrix> sketches;
     sketches.reserve(cores);
     std::size_t final_ell = config_.sketch.ell;
     core::SketchStats sketch_stats;
-    for (auto& shard : shards) {
+    for (std::size_t c = 0; c < cores; ++c) {
+      const std::size_t r0 = c * n / cores;
+      const std::size_t r1 = (c + 1) * n / cores;
+      if (r1 <= r0) continue;
+      core::AramsConfig shard_config = config_.sketch;
+      shard_config.seed = config_.sketch.seed + c;
+      core::Arams sketcher(shard_config);
+      core::AramsResult shard =
+          sketcher.sketch_matrix(rows.slice_rows(r0, r1));
       if (shard.sketch.empty()) continue;
       sketch_stats += core::sketch_stats_from_report(shard.report);
       final_ell = std::max(final_ell, shard.final_ell);

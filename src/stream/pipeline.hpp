@@ -2,7 +2,7 @@
 // MonitoringPipeline — the Fig. 4 schematic as one public API.
 //
 // Stage 1  preprocess   threshold / center / normalize each frame
-// Stage 2  sketch       ARAMS across virtual cores, tree-merged
+// Stage 2  sketch       ARAMS over range-partitioned shards, tree-merged
 // Stage 3  project      PCA latent projection from the global sketch
 // Stage 4  visualize    UMAP to 2-D
 // Stage 5  analyze      OPTICS clustering + FastABOD outlier scores
@@ -16,7 +16,6 @@
 #include "cluster/kmeans.hpp"
 #include "cluster/optics.hpp"
 #include "core/arams_sketch.hpp"
-#include "core/merge.hpp"
 #include "core/sketcher.hpp"
 #include "embed/umap.hpp"
 #include "image/preprocess.hpp"
@@ -38,7 +37,7 @@ struct PipelineConfig {
   /// Concurrent in-process ingest shards for the factory sketcher path
   /// (core::ShardedSketcher on the shared pool, pool-executed tree merge
   /// at sketch time). 1 (default) keeps the classic single-instance /
-  /// virtual-core behavior bitwise unchanged; > 1 routes stage 2 through
+  /// range-partitioned behavior bitwise unchanged; > 1 routes stage 2 through
   /// "sharded:<sketcher>". Orthogonal to `num_cores`, which drives the
   /// legacy arams-only range-partitioned shard path.
   std::size_t shards = 1;
@@ -53,8 +52,9 @@ struct PipelineConfig {
   /// and fans out fp32 rows natively.
   enum class IngestPrecision { kF64, kF32 };
   IngestPrecision ingest_precision = IngestPrecision::kF64;
-  std::size_t num_cores = 4;         ///< virtual cores for sketching
-  bool use_threads = false;          ///< run shard sketches on a pool
+  /// Range-partitioned ARAMS shards (seed + c each), sketched serially and
+  /// tree-merged; the default fp64 arams path with shards == 1.
+  std::size_t num_cores = 4;
   std::size_t pca_components = 15;   ///< latent dimension fed to UMAP
   embed::UmapConfig umap;
   /// Which clusterer labels the embedding. OPTICS is the paper's choice;
@@ -98,29 +98,6 @@ struct PipelineResult {
   /// Per-stage timings ("preprocess", "sketch", "project", "embed",
   /// "cluster", "merge") plus the sketch/merge operation counters.
   obs::StageReport report;
-
-  // Legacy accessors (kept for one release; prefer `report`).
-  [[nodiscard]] core::SketchStats sketch_stats() const {
-    return core::sketch_stats_from_report(report);
-  }
-  [[nodiscard]] core::MergeStats merge_stats() const {
-    return core::merge_stats_from_report(report);
-  }
-  [[nodiscard]] double preprocess_seconds() const {
-    return report.seconds("preprocess");
-  }
-  [[nodiscard]] double sketch_seconds() const {
-    return report.seconds("sketch");
-  }
-  [[nodiscard]] double project_seconds() const {
-    return report.seconds("project");
-  }
-  [[nodiscard]] double embed_seconds() const {
-    return report.seconds("embed");
-  }
-  [[nodiscard]] double cluster_seconds() const {
-    return report.seconds("cluster");
-  }
 };
 
 /// Batch analysis facade over the whole pipeline. All public entry points

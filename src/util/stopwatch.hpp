@@ -1,6 +1,6 @@
 #pragma once
 // Monotonic wall-clock stopwatch used by every benchmark harness and by the
-// virtual-core scaling model.
+// stage and merge timings.
 
 #include <chrono>
 

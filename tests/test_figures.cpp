@@ -10,6 +10,8 @@
 #include "cluster/kmeans.hpp"
 #include "cluster/metrics.hpp"
 #include "core/arams_sketch.hpp"
+#include "core/fd.hpp"
+#include "core/merge.hpp"
 #include "embed/pca.hpp"
 #include "embed/umap.hpp"
 #include "image/preprocess.hpp"
@@ -18,7 +20,6 @@
 #include "embed/metrics.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/norms.hpp"
-#include "parallel/virtual_cores.hpp"
 #include "stream/pipeline.hpp"
 #include "stream/source.hpp"
 #include "util/stopwatch.hpp"
@@ -86,7 +87,23 @@ TEST(Fig1Shape, RankAdaptiveMeetsItsErrorContract) {
   }
 }
 
+/// Sketches 16 equal row ranges of `a` with FD (ℓ = 16), one per core.
+std::vector<Matrix> sixteen_shard_sketches(const Matrix& a) {
+  std::vector<Matrix> sketches;
+  for (std::size_t c = 0; c < 16; ++c) {
+    core::FrequentDirections fd(core::FdConfig{16, /*fast=*/true});
+    fd.append_batch(a.slice_rows(c * a.rows() / 16, (c + 1) * a.rows() / 16));
+    fd.compress();
+    sketches.push_back(fd.sketch());
+  }
+  return sketches;
+}
+
 TEST(Fig2Shape, TreeMakespanBeatsSerialAtScale) {
+  // The makespan argument in its deterministic form: over 16 shards the
+  // tree puts log2(16) = 4 shrinks on the critical path where the serial
+  // fold puts 15, for the same total work. The wall-clock claim is gated
+  // by the merge_scaling check (min over repetitions on real cores).
   data::SyntheticConfig dc;
   dc.n = 2048;
   dc.d = 128;
@@ -94,22 +111,15 @@ TEST(Fig2Shape, TreeMakespanBeatsSerialAtScale) {
   dc.spectrum.count = 64;
   Rng rng(4);
   const Matrix a = data::make_low_rank(dc, rng);
+  const std::vector<Matrix> sketches = sixteen_shard_sketches(a);
 
-  const auto run = [&](parallel::MergeStrategy strategy) {
-    parallel::ScalingConfig config;
-    config.num_cores = 16;
-    config.ell = 16;
-    config.strategy = strategy;
-    return parallel::run_sharded_sketch(config, [&](std::size_t core) {
-      return a.slice_rows(core * a.rows() / 16,
-                          (core + 1) * a.rows() / 16);
-    });
-  };
-  const auto tree = run(parallel::MergeStrategy::kTree);
-  const auto serial = run(parallel::MergeStrategy::kSerial);
-  EXPECT_LT(tree.critical_path_svds, serial.critical_path_svds);
-  EXPECT_LT(tree.merge_stats.critical_path_seconds,
-            serial.merge_stats.critical_path_seconds);
+  core::MergeStats tree;
+  core::MergeStats serial;
+  core::tree_merge(sketches, 16, 2, &tree);
+  core::serial_merge(sketches, 16, &serial);
+  EXPECT_EQ(tree.critical_path_ops, 4);
+  EXPECT_EQ(serial.critical_path_ops, 15);
+  EXPECT_EQ(tree.merge_ops, serial.merge_ops);
 }
 
 TEST(Fig3Shape, TreeErrorTracksSerialError) {
@@ -121,20 +131,14 @@ TEST(Fig3Shape, TreeErrorTracksSerialError) {
   dc.noise = 3e-3;
   Rng rng(5);
   const Matrix a = data::make_low_rank(dc, rng);
+  const std::vector<Matrix> sketches = sixteen_shard_sketches(a);
 
-  const auto run = [&](parallel::MergeStrategy strategy) {
-    parallel::ScalingConfig config;
-    config.num_cores = 16;
-    config.ell = 16;
-    config.strategy = strategy;
-    const auto r = parallel::run_sharded_sketch(config, [&](std::size_t c) {
-      return a.slice_rows(c * a.rows() / 16, (c + 1) * a.rows() / 16);
-    });
+  const auto error = [&](const Matrix& sketch) {
     Rng power(6);
-    return linalg::covariance_error_relative(a, r.sketch, power, 40);
+    return linalg::covariance_error_relative(a, sketch, power, 40);
   };
-  const double tree = run(parallel::MergeStrategy::kTree);
-  const double serial = run(parallel::MergeStrategy::kSerial);
+  const double tree = error(core::tree_merge(sketches, 16));
+  const double serial = error(core::serial_merge(sketches, 16));
   EXPECT_LT(tree, 1.5 * serial + 1e-9);
   EXPECT_LT(serial, 1.5 * tree + 1e-9);
 }
@@ -212,9 +216,9 @@ TEST(RuntimeShape, PipelineOutrunsTheDetectorRate) {
   config.umap.n_epochs = 80;
   const auto result =
       stream::MonitoringPipeline(config).analyze(images);
-  const double streaming_seconds = result.preprocess_seconds() +
-                                   result.sketch_seconds() +
-                                   result.project_seconds();
+  const double streaming_seconds = result.report.seconds("preprocess") +
+                                   result.report.seconds("sketch") +
+                                   result.report.seconds("project");
   EXPECT_GT(200.0 / streaming_seconds, 120.0);
 }
 

@@ -46,7 +46,6 @@ TEST(Merge, EmptyInputThrows) {
   EXPECT_THROW(merge_group({}, 4), CheckError);
   EXPECT_THROW(serial_merge({}, 4), CheckError);
   EXPECT_THROW(tree_merge({}, 4), CheckError);
-  EXPECT_THROW(parallel_tree_merge({}, 4), CheckError);
 }
 
 TEST(Merge, SingleSketchPassesThrough) {
@@ -185,29 +184,44 @@ TEST(Merge, OddShardCountHandled) {
   EXPECT_EQ(stats.levels, 3);  // 7 → 4 → 2 → 1
 }
 
-TEST(Merge, ParallelTreeIsBitwiseTreeAtAnyPoolSize) {
-  // parallel_tree_merge only reschedules tree_merge's groups; the reduction
-  // itself — group membership, stack order, shrink math — is fixed, so the
-  // result is bitwise identical inline, on one worker, or on many.
-  Rng rng(11);
-  std::vector<Matrix> sketches;
-  for (int i = 0; i < 7; ++i) {
-    sketches.push_back(random_matrix(4, 8, rng));
+/// The binary tree built by hand from merge_group: each level merges
+/// adjacent pairs and carries an odd tail into the next level as the lone
+/// member of its own group.
+Matrix reference_tree(std::vector<Matrix> level, std::size_t ell) {
+  while (level.size() > 1) {
+    std::vector<Matrix> next;
+    for (std::size_t g = 0; g < level.size(); g += 2) {
+      std::vector<Matrix> group{level[g]};
+      if (g + 1 < level.size()) group.push_back(level[g + 1]);
+      next.push_back(merge_group(group, ell));
+    }
+    level = std::move(next);
   }
-  auto copy = sketches;
-  const Matrix expected = tree_merge(std::move(copy), 4);
+  return std::move(level.front());
+}
 
-  copy = sketches;
-  const Matrix inline_run = parallel_tree_merge(std::move(copy), 4);
-  EXPECT_EQ(Matrix::max_abs_diff(inline_run, expected), 0.0);
+TEST(Merge, ParallelTreeIsBitwiseTreeAtAnyPoolSize) {
+  // The reduction structure — group membership, stack order, shrink math —
+  // is fixed; a pool decides only when a group runs. So tree_merge is
+  // bitwise the hand-built reference with no pool and on any pool size.
+  for (const int inputs : {4, 7, 16}) {
+    Rng rng(static_cast<std::uint64_t>(inputs) + 11);
+    std::vector<Matrix> sketches;
+    for (int i = 0; i < inputs; ++i) {
+      sketches.push_back(random_matrix(4, 8, rng));
+    }
+    const Matrix expected = reference_tree(sketches, 4);
+    ASSERT_GT(expected.rows(), 0u);
 
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    parallel::ThreadPool pool(threads);
-    copy = sketches;
-    const Matrix pooled =
-        parallel_tree_merge(std::move(copy), 4, 2, nullptr, &pool);
-    EXPECT_EQ(Matrix::max_abs_diff(pooled, expected), 0.0)
-        << "threads=" << threads;
+    EXPECT_EQ(Matrix::max_abs_diff(tree_merge(sketches, 4), expected), 0.0)
+        << "inputs=" << inputs << " no pool";
+    for (const std::size_t threads :
+         {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+      parallel::ThreadPool pool(threads);
+      const Matrix pooled = tree_merge(sketches, 4, 2, nullptr, &pool);
+      EXPECT_EQ(Matrix::max_abs_diff(pooled, expected), 0.0)
+          << "inputs=" << inputs << " threads=" << threads;
+    }
   }
 }
 
@@ -217,59 +231,26 @@ TEST(Merge, ParallelTreeKeepsTreeAccountingAndMeasuresWall) {
   for (int i = 0; i < 16; ++i) {
     sketches.push_back(random_matrix(4, 8, rng));
   }
-  auto copy = sketches;
-  MergeStats tree_stats;
-  tree_merge(std::move(copy), 4, 2, &tree_stats);
-
-  copy = sketches;
   MergeStats stats;
-  parallel_tree_merge(std::move(copy), 4, 2, &stats);
-  EXPECT_EQ(stats.merge_ops, tree_stats.merge_ops);
-  EXPECT_EQ(stats.levels, tree_stats.levels);
-  EXPECT_EQ(stats.critical_path_ops, tree_stats.critical_path_ops);
+  tree_merge(sketches, 4, 2, &stats);
+  EXPECT_EQ(stats.merge_ops, 15);
+  EXPECT_EQ(stats.levels, 4);
+  EXPECT_EQ(stats.critical_path_ops, 4);
   EXPECT_GT(stats.critical_path_seconds_measured, 0.0);
-  EXPECT_GT(stats.critical_path_seconds_modeled, 0.0);
   // Inline execution dispatches nothing.
   EXPECT_EQ(stats.parallel_groups, 0);
 
   // On a multi-worker pool every level with >1 group is dispatched:
   // 16 → 8 + 4 + 2 dispatched groups, the final lone group runs inline.
+  // The accounting of the reduction itself does not change.
   parallel::ThreadPool pool(4);
-  copy = sketches;
   MergeStats pooled;
-  parallel_tree_merge(std::move(copy), 4, 2, &pooled, &pool);
+  tree_merge(sketches, 4, 2, &pooled, &pool);
   EXPECT_EQ(pooled.parallel_groups, 14);
+  EXPECT_EQ(pooled.merge_ops, stats.merge_ops);
+  EXPECT_EQ(pooled.levels, stats.levels);
+  EXPECT_EQ(pooled.critical_path_ops, stats.critical_path_ops);
   EXPECT_GT(pooled.critical_path_seconds_measured, 0.0);
-}
-
-TEST(Merge, LegacyCriticalPathFieldIsTheModeledMakespan) {
-  // Pre-existing consumers (virtual_cores, the figure tests) read
-  // critical_path_seconds as the slowest-group-per-level model; the
-  // measured wall lives in its own field for every strategy.
-  Rng rng(13);
-  for (const int strategy : {0, 1, 2}) {
-    std::vector<Matrix> sketches;
-    for (int i = 0; i < 8; ++i) {
-      sketches.push_back(random_matrix(4, 8, rng));
-    }
-    MergeStats stats;
-    switch (strategy) {
-      case 0:
-        serial_merge(std::move(sketches), 4, &stats);
-        break;
-      case 1:
-        tree_merge(std::move(sketches), 4, 2, &stats);
-        break;
-      default:
-        parallel_tree_merge(std::move(sketches), 4, 2, &stats);
-        break;
-    }
-    EXPECT_EQ(stats.critical_path_seconds,
-              stats.critical_path_seconds_modeled)
-        << "strategy " << strategy;
-    EXPECT_GT(stats.critical_path_seconds_measured, 0.0)
-        << "strategy " << strategy;
-  }
 }
 
 TEST(Merge, StatsRoundTripThroughStageReport) {
@@ -280,19 +261,17 @@ TEST(Merge, StatsRoundTripThroughStageReport) {
   }
   parallel::ThreadPool pool(2);
   MergeStats stats;
-  parallel_tree_merge(std::move(sketches), 4, 2, &stats, &pool);
+  tree_merge(std::move(sketches), 4, 2, &stats, &pool);
 
   obs::StageReport report;
   append_to_report(stats, report);
-  const MergeStats back = merge_stats_from_report(report);
-  EXPECT_EQ(back.merge_ops, stats.merge_ops);
-  EXPECT_EQ(back.levels, stats.levels);
-  EXPECT_EQ(back.critical_path_ops, stats.critical_path_ops);
-  EXPECT_EQ(back.parallel_groups, stats.parallel_groups);
-  EXPECT_EQ(back.critical_path_seconds, stats.critical_path_seconds);
-  EXPECT_EQ(back.critical_path_seconds_modeled,
-            stats.critical_path_seconds_modeled);
-  EXPECT_EQ(back.critical_path_seconds_measured,
+  EXPECT_EQ(report.counter("merge_ops"), stats.merge_ops);
+  EXPECT_EQ(report.counter("merge_levels"), stats.levels);
+  EXPECT_EQ(report.counter("merge_critical_path_ops"),
+            stats.critical_path_ops);
+  EXPECT_EQ(report.counter("merge_parallel_groups"), stats.parallel_groups);
+  EXPECT_EQ(report.seconds("merge"), stats.total_seconds);
+  EXPECT_EQ(report.seconds("merge_critical_path_measured"),
             stats.critical_path_seconds_measured);
 }
 

@@ -1,4 +1,6 @@
-// Thread pool and the virtual-core scaling driver.
+// Thread pool, and the shard-and-merge claims behind Figs. 2–3: P cores
+// each sketch their own shard with FD, then tree_merge or serial_merge
+// reduces the P sketches (on a pool when one is given).
 
 #include <gtest/gtest.h>
 
@@ -6,11 +8,12 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "core/fd.hpp"
+#include "core/merge.hpp"
 #include "data/synthetic.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/norms.hpp"
 #include "parallel/thread_pool.hpp"
-#include "parallel/virtual_cores.hpp"
 #include "rng/rng.hpp"
 #include "util/check.hpp"
 
@@ -89,150 +92,136 @@ Matrix shard_data(std::size_t rows, std::size_t d, std::uint64_t seed) {
   return m;
 }
 
-ScalingConfig base_scaling(std::size_t cores, MergeStrategy strategy) {
-  ScalingConfig config;
-  config.num_cores = cores;
-  config.ell = 8;
-  config.strategy = strategy;
-  return config;
+enum class MergeKind { kTree, kSerial };
+
+struct ShardedRun {
+  Matrix sketch;
+  core::MergeStats merge_stats;
+};
+
+/// One FD sketch (ℓ = 8) per shard — sketched on `pool` when given — then
+/// the selected reduction, also on `pool` for the tree.
+ShardedRun sketch_and_merge(const std::vector<Matrix>& shards,
+                            MergeKind merge, ThreadPool* pool = nullptr) {
+  constexpr std::size_t kEll = 8;
+  std::vector<Matrix> sketches(shards.size());
+  const auto sketch_shard = [&](std::size_t c) {
+    core::FrequentDirections fd(core::FdConfig{kEll, /*fast=*/true});
+    fd.append_batch(shards[c]);
+    fd.compress();
+    sketches[c] = fd.sketch();
+  };
+  if (pool != nullptr) {
+    pool->parallel_for(shards.size(), sketch_shard);
+  } else {
+    for (std::size_t c = 0; c < shards.size(); ++c) sketch_shard(c);
+  }
+  ShardedRun run;
+  run.sketch = merge == MergeKind::kTree
+                   ? core::tree_merge(std::move(sketches), kEll, 2,
+                                      &run.merge_stats, pool)
+                   : core::serial_merge(std::move(sketches), kEll,
+                                        &run.merge_stats);
+  return run;
+}
+
+std::vector<Matrix> shard_set(std::size_t cores, std::size_t rows,
+                              std::size_t d, std::uint64_t seed) {
+  std::vector<Matrix> shards;
+  for (std::size_t c = 0; c < cores; ++c) {
+    shards.push_back(shard_data(rows, d, c + seed));
+  }
+  return shards;
 }
 
 TEST(VirtualCores, ZeroCoresThrows) {
-  const ScalingConfig config = base_scaling(0, MergeStrategy::kTree);
-  EXPECT_THROW(
-      run_sharded_sketch(config, [](std::size_t) { return Matrix(4, 4); }),
-      CheckError);
+  EXPECT_THROW(sketch_and_merge({}, MergeKind::kTree), CheckError);
 }
 
 TEST(VirtualCores, SingleCoreSkipsMerge) {
-  const ScalingConfig config = base_scaling(1, MergeStrategy::kTree);
-  const ScalingResult r = run_sharded_sketch(
-      config, [](std::size_t) { return shard_data(50, 10, 1); });
+  const ShardedRun r = sketch_and_merge(shard_set(1, 50, 10, 1),
+                                        MergeKind::kTree);
   EXPECT_EQ(r.merge_stats.merge_ops, 0);
-  EXPECT_EQ(r.critical_path_svds, 0);
+  EXPECT_EQ(r.merge_stats.critical_path_ops, 0);
   EXPECT_LE(r.sketch.rows(), 8u);
 }
 
-TEST(VirtualCores, ShardProviderCalledOncePerCore) {
-  std::atomic<int> calls{0};
-  const ScalingConfig config = base_scaling(4, MergeStrategy::kTree);
-  run_sharded_sketch(config, [&calls](std::size_t core) {
-    ++calls;
-    return shard_data(30, 8, core);
-  });
-  EXPECT_EQ(calls.load(), 4);
-}
-
 class StrategyCores
-    : public ::testing::TestWithParam<std::tuple<MergeStrategy, int>> {};
+    : public ::testing::TestWithParam<std::tuple<MergeKind, int>> {};
 
 TEST_P(StrategyCores, SketchSatisfiesGlobalGuarantee) {
-  const auto [strategy, cores] = GetParam();
-  const ScalingConfig config =
-      base_scaling(static_cast<std::size_t>(cores), strategy);
-
+  const auto [merge, cores] = GetParam();
+  const std::vector<Matrix> shards =
+      shard_set(static_cast<std::size_t>(cores), 40, 12, 100);
   Matrix full;
-  std::vector<Matrix> shards;
-  for (int c = 0; c < cores; ++c) {
-    Matrix s = shard_data(40, 12, static_cast<std::uint64_t>(c) + 100);
-    full = Matrix::vstack(full, s);
-    shards.push_back(std::move(s));
-  }
-  const ScalingResult r = run_sharded_sketch(
-      config, [&shards](std::size_t core) { return shards[core]; });
+  for (const Matrix& s : shards) full = Matrix::vstack(full, s);
+  const ShardedRun r = sketch_and_merge(shards, merge);
 
   Rng power(3);
   const double err = linalg::covariance_error(full, r.sketch, power, 150);
-  const double bound =
-      linalg::frobenius_norm_squared(full) / static_cast<double>(config.ell);
+  const double bound = linalg::frobenius_norm_squared(full) / 8.0;
   EXPECT_LE(err, 2.0 * bound);
-  EXPECT_GT(r.makespan_seconds, 0.0);
-  EXPECT_GE(r.total_work_seconds, r.local_phase_seconds);
+  EXPECT_EQ(r.merge_stats.merge_ops, cores - 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, StrategyCores,
-    ::testing::Combine(::testing::Values(MergeStrategy::kTree,
-                                         MergeStrategy::kSerial),
+    ::testing::Combine(::testing::Values(MergeKind::kTree,
+                                         MergeKind::kSerial),
                        ::testing::Values(1, 2, 4, 8)));
 
 TEST(VirtualCores, TreeBeatsSerialOnCriticalPath) {
-  constexpr std::size_t kCores = 16;
-  const auto provider = [](std::size_t core) {
-    return shard_data(30, 10, core + 7);
-  };
-  const ScalingResult tree = run_sharded_sketch(
-      base_scaling(kCores, MergeStrategy::kTree), provider);
-  const ScalingResult serial = run_sharded_sketch(
-      base_scaling(kCores, MergeStrategy::kSerial), provider);
-  EXPECT_EQ(tree.critical_path_svds, 4);    // log2(16)
-  EXPECT_EQ(serial.critical_path_svds, 15); // P − 1
+  const std::vector<Matrix> shards = shard_set(16, 30, 10, 7);
+  const ShardedRun tree = sketch_and_merge(shards, MergeKind::kTree);
+  const ShardedRun serial = sketch_and_merge(shards, MergeKind::kSerial);
+  EXPECT_EQ(tree.merge_stats.critical_path_ops, 4);     // log2(16)
+  EXPECT_EQ(serial.merge_stats.critical_path_ops, 15);  // P − 1
   // Same total merge work.
   EXPECT_EQ(tree.merge_stats.merge_ops, serial.merge_stats.merge_ops);
 }
 
 TEST(VirtualCores, ThreadedRunMatchesSequentialSketchQuality) {
-  constexpr std::size_t kCores = 4;
-  std::vector<Matrix> shards;
+  const std::vector<Matrix> shards = shard_set(4, 40, 10, 55);
   Matrix full;
-  for (std::size_t c = 0; c < kCores; ++c) {
-    Matrix s = shard_data(40, 10, c + 55);
-    full = Matrix::vstack(full, s);
-    shards.push_back(std::move(s));
-  }
-  ScalingConfig config = base_scaling(kCores, MergeStrategy::kTree);
-  config.use_threads = true;
-  const ScalingResult r = run_sharded_sketch(
-      config, [&shards](std::size_t core) { return shards[core]; });
+  for (const Matrix& s : shards) full = Matrix::vstack(full, s);
+  ThreadPool pool(4);
+  const ShardedRun threaded = sketch_and_merge(shards, MergeKind::kTree,
+                                               &pool);
+  const ShardedRun inline_run = sketch_and_merge(shards, MergeKind::kTree);
+  EXPECT_EQ(Matrix::max_abs_diff(threaded.sketch, inline_run.sketch), 0.0);
   Rng power(5);
-  const double err = linalg::covariance_error(full, r.sketch, power, 150);
+  const double err =
+      linalg::covariance_error(full, threaded.sketch, power, 150);
   EXPECT_LE(err, 2.0 * linalg::frobenius_norm_squared(full) / 8.0);
 }
 
 TEST(VirtualCores, TreePoolExecutesTheMergeForReal) {
-  // kTreePool runs the reduction on the shared pool. Its sketch must be
-  // bitwise the simulated tree's (the reduction structure is fixed;
-  // scheduling decides only when a group runs), its merge phase is the
-  // measured wall (no comm model), and the measured makespan is also
-  // surfaced for the modeled strategies.
-  constexpr std::size_t kCores = 8;
-  std::vector<Matrix> shards;
-  for (std::size_t c = 0; c < kCores; ++c) {
-    shards.push_back(shard_data(30, 10, c + 200));
-  }
-  const auto provider = [&shards](std::size_t core) {
-    return shards[core];
-  };
-  const ScalingResult tree = run_sharded_sketch(
-      base_scaling(kCores, MergeStrategy::kTree), provider);
-  const ScalingResult pooled = run_sharded_sketch(
-      base_scaling(kCores, MergeStrategy::kTreePool), provider);
+  // On a multi-worker pool the reduction really runs concurrently: its
+  // groups are dispatched, its wall is measured, and the sketch and the
+  // reduction's accounting are bitwise those of the inline run.
+  const std::vector<Matrix> shards = shard_set(8, 30, 10, 200);
+  ThreadPool pool(4);
+  const ShardedRun inline_run = sketch_and_merge(shards, MergeKind::kTree);
+  const ShardedRun pooled = sketch_and_merge(shards, MergeKind::kTree,
+                                             &pool);
 
-  EXPECT_EQ(Matrix::max_abs_diff(pooled.sketch, tree.sketch), 0.0);
-  EXPECT_EQ(pooled.merge_stats.merge_ops, tree.merge_stats.merge_ops);
-  EXPECT_EQ(pooled.critical_path_svds, tree.critical_path_svds);
-  EXPECT_GT(pooled.merge_phase_measured_seconds, 0.0);
-  EXPECT_DOUBLE_EQ(pooled.merge_phase_seconds,
-                   pooled.merge_stats.critical_path_seconds_measured);
-  // The modeled strategies report the measured wall alongside the model.
-  EXPECT_GT(tree.merge_phase_measured_seconds, 0.0);
-  EXPECT_EQ(tree.merge_phase_measured_seconds,
-            tree.merge_stats.critical_path_seconds_measured);
-}
-
-TEST(CommModel, CostIsLatencyPlusTransfer) {
-  CommModel model;
-  model.latency_seconds = 1e-3;
-  model.bytes_per_second = 1e6;
-  EXPECT_DOUBLE_EQ(model.cost(2e6), 1e-3 + 2.0);
+  EXPECT_EQ(Matrix::max_abs_diff(pooled.sketch, inline_run.sketch), 0.0);
+  EXPECT_EQ(pooled.merge_stats.merge_ops, inline_run.merge_stats.merge_ops);
+  EXPECT_EQ(pooled.merge_stats.critical_path_ops,
+            inline_run.merge_stats.critical_path_ops);
+  EXPECT_EQ(pooled.merge_stats.parallel_groups, 6);  // 4 + 2; root inline
+  EXPECT_EQ(inline_run.merge_stats.parallel_groups, 0);
+  EXPECT_GT(pooled.merge_stats.critical_path_seconds_measured, 0.0);
 }
 
 TEST(VirtualCores, MakespanDecomposes) {
-  const ScalingConfig config = base_scaling(8, MergeStrategy::kTree);
-  const ScalingResult r = run_sharded_sketch(
-      config, [](std::size_t core) { return shard_data(30, 10, core); });
-  EXPECT_NEAR(r.makespan_seconds,
-              r.local_phase_seconds + r.merge_phase_seconds, 1e-12);
+  // Run inline, the measured merge makespan contains every shrink it ran.
+  const std::vector<Matrix> shards = shard_set(8, 30, 10, 0);
+  for (const MergeKind merge : {MergeKind::kTree, MergeKind::kSerial}) {
+    const core::MergeStats stats = sketch_and_merge(shards, merge).merge_stats;
+    EXPECT_GT(stats.total_seconds, 0.0);
+    EXPECT_GE(stats.critical_path_seconds_measured, stats.total_seconds);
+  }
 }
 
 }  // namespace

@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "cluster/metrics.hpp"
+#include "core/arams_sketch.hpp"
+#include "core/merge.hpp"
 #include "embed/metrics.hpp"
 #include "image/image.hpp"
 #include "linalg/blas.hpp"
@@ -75,8 +78,8 @@ TEST(Pipeline, BeamProfileEndToEndShapes) {
   EXPECT_EQ(result.labels.size(), 120u);
   EXPECT_EQ(result.outlier_scores.size(), 120u);
   EXPECT_GT(result.sketch.rows(), 0u);
-  EXPECT_GT(result.sketch_seconds(), 0.0);
-  EXPECT_GT(result.embed_seconds(), 0.0);
+  EXPECT_GT(result.report.seconds("sketch"), 0.0);
+  EXPECT_GT(result.report.seconds("embed"), 0.0);
 
   // Event entry point carries shot ids through to the result rows.
   ASSERT_EQ(result.shot_ids.size(), 120u);
@@ -124,7 +127,7 @@ TEST(Pipeline, MatrixEntryPointSkipsPreprocessing) {
   config.umap.n_neighbors = 8;
   const MonitoringPipeline pipeline(config);
   const PipelineResult result = pipeline.analyze_matrix(rows);
-  EXPECT_EQ(result.preprocess_seconds(), 0.0);
+  EXPECT_EQ(result.report.seconds("preprocess"), 0.0);
   EXPECT_EQ(result.embedding.rows(), 60u);
 }
 
@@ -150,7 +153,7 @@ TEST(Pipeline, MoreCoresSameQuality) {
   EXPECT_GT(t1, 0.75);
   EXPECT_GT(t4, 0.75);
   // The 4-core run actually merged sketches.
-  EXPECT_GT(r4.merge_stats().merge_ops, 0);
+  EXPECT_GT(r4.report.counter("merge_ops"), 0);
 }
 
 TEST(Pipeline, AbodDisabledWhenKZero) {
@@ -212,19 +215,69 @@ TEST(Pipeline, KmeansBackendRecoversClassesAtKnownK) {
 }
 
 TEST(Pipeline, ThreadedShardingMatchesShapes) {
+  // shards > 1 ingests through ShardedSketcher on the shared pool.
   linalg::Matrix rows(80, 20);
   Rng rng(8);
   for (std::size_t i = 0; i < 80; ++i) {
     rng.fill_normal(rows.row(i));
   }
   PipelineConfig config = fast_pipeline();
-  config.use_threads = true;
-  config.num_cores = 4;
+  config.shards = 4;
   config.umap.n_neighbors = 8;
   const PipelineResult result =
       MonitoringPipeline(config).analyze_matrix(rows);
   EXPECT_EQ(result.embedding.rows(), 80u);
-  EXPECT_GT(result.merge_stats().merge_ops, 0);
+  EXPECT_EQ(result.report.counter("shards"), 4);
+  EXPECT_GT(result.report.counter("merge_ops"), 0);
+}
+
+/// Binary tree of merge_group calls, level by level: adjacent pairs merge,
+/// an odd tail is carried as the lone member of its own group.
+linalg::Matrix reference_tree(std::vector<linalg::Matrix> level,
+                              std::size_t ell) {
+  while (level.size() > 1) {
+    std::vector<linalg::Matrix> next;
+    for (std::size_t g = 0; g < level.size(); g += 2) {
+      std::vector<linalg::Matrix> group{level[g]};
+      if (g + 1 < level.size()) group.push_back(level[g + 1]);
+      next.push_back(core::merge_group(group, ell));
+    }
+    level = std::move(next);
+  }
+  return std::move(level.front());
+}
+
+TEST(Pipeline, DefaultBatchSketchIsRangePartitionPlusTreeMerge) {
+  // The default batch facade (arams, num_cores = 4, fp64): row range c of
+  // 4 goes to an Arams instance seeded seed + c, and the shard sketches
+  // are tree-merged at the largest final ℓ.
+  linalg::Matrix rows(203, 24);
+  Rng rng(31);
+  for (std::size_t i = 0; i < rows.rows(); ++i) {
+    rng.fill_normal(rows.row(i));
+  }
+  const PipelineConfig config;
+  ASSERT_EQ(config.num_cores, 4u);
+  ASSERT_EQ(config.shards, 1u);
+
+  std::vector<linalg::Matrix> sketches;
+  std::size_t final_ell = config.sketch.ell;
+  for (std::size_t c = 0; c < 4; ++c) {
+    core::AramsConfig shard = config.sketch;
+    shard.seed = config.sketch.seed + c;
+    core::AramsResult part = core::Arams(shard).sketch_matrix(
+        rows.slice_rows(c * rows.rows() / 4, (c + 1) * rows.rows() / 4));
+    final_ell = std::max(final_ell, part.final_ell);
+    sketches.push_back(std::move(part.sketch));
+  }
+  const linalg::Matrix expected = reference_tree(sketches, final_ell);
+
+  const PipelineResult result =
+      MonitoringPipeline(config).analyze_matrix(rows);
+  EXPECT_EQ(result.final_ell, final_ell);
+  ASSERT_EQ(result.sketch.rows(), expected.rows());
+  EXPECT_EQ(linalg::Matrix::max_abs_diff(result.sketch, expected), 0.0);
+  EXPECT_EQ(result.report.counter("merge_ops"), 3);
 }
 
 TEST(Pipeline, F32FramesRunEndToEnd) {
@@ -246,7 +299,7 @@ TEST(Pipeline, F32FramesRunEndToEnd) {
   EXPECT_EQ(result.embedding.rows(), 100u);
   EXPECT_EQ(result.labels.size(), 100u);
   EXPECT_GT(result.sketch.rows(), 0u);
-  EXPECT_GT(result.preprocess_seconds(), 0.0);
+  EXPECT_GT(result.report.seconds("preprocess"), 0.0);
   // The lane's audit trail: every row went through the fp32 seam.
   EXPECT_EQ(result.report.counter("rows_ingested_f32"), 100);
   EXPECT_THROW(pipeline.analyze(std::vector<image::ImageF32>{}), CheckError);
@@ -302,7 +355,7 @@ TEST(Pipeline, F32MatrixEntryPointSkipsPreprocessing) {
   const MonitoringPipeline pipeline(config);
   const PipelineResult result =
       pipeline.analyze_matrix(linalg::MatrixViewF(rows));
-  EXPECT_EQ(result.preprocess_seconds(), 0.0);
+  EXPECT_EQ(result.report.seconds("preprocess"), 0.0);
   EXPECT_EQ(result.embedding.rows(), 60u);
   EXPECT_EQ(result.report.counter("rows_ingested_f32"), 60);
 }

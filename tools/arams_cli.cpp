@@ -416,7 +416,7 @@ int cmd_pipeline(int argc, const char* const* argv) {
   flags.declare("sketcher", "arams",
                 "sketch backend (see `arams backends`)");
   flags.declare("ell", "24", "sketch rank");
-  flags.declare("cores", "4", "virtual sketching cores");
+  flags.declare("cores", "4", "range-partitioned batch shards");
   flags.declare("shards", "1",
                 "concurrent ingest shards (>1 runs stage 2 through "
                 "sharded:<sketcher> on the shared pool)");
@@ -488,9 +488,9 @@ int cmd_pipeline(int argc, const char* const* argv) {
   }
   const std::size_t n = result.embedding.rows();
   std::cout << "pipeline over " << n << " shots in " << timer.seconds()
-            << " s: sketch " << result.sketch_seconds() << " s, UMAP "
-            << result.embed_seconds() << " s, cluster "
-            << result.cluster_seconds() << " s\n"
+            << " s: sketch " << result.report.seconds("sketch") << " s, UMAP "
+            << result.report.seconds("embed") << " s, cluster "
+            << result.report.seconds("cluster") << " s\n"
             << cluster::cluster_count(result.labels)
             << " clusters, final sketch rank " << result.final_ell << "\n";
 
