@@ -1,6 +1,7 @@
 #include "core/arams_sketch.hpp"
 
 #include <sstream>
+#include <type_traits>
 
 #include "obs/trace.hpp"
 #include "util/stopwatch.hpp"
@@ -75,32 +76,54 @@ FrequentDirections& Arams::fd() {
   return ra_fd_ ? static_cast<FrequentDirections&>(*ra_fd_) : *fixed_fd_;
 }
 
-AramsResult Arams::sketch_matrix(const Matrix& x) {
+template <typename T>
+std::optional<Matrix> Arams::sample(linalg::BasicMatrixView<T> rows,
+                                    std::uint64_t seed) const {
+  if (!config_.use_sampling || config_.beta >= 1.0) return std::nullopt;
+  PrioritySamplerConfig ps;
+  ps.weight = config_.weight;
+  ps.seed = seed;
+  return priority_sample(rows, config_.beta, ps);
+}
+
+template <typename T>
+void Arams::feed_fd(linalg::BasicMatrixView<T> rows) {
+  if (!ra_fd_) {
+    fixed_fd_->append_batch(rows);
+  } else if constexpr (std::is_same_v<T, float>) {
+    // RankAdaptiveFd's recent-row window is fp64; widen once into
+    // grow-only scratch and reuse its fp64 entry point.
+    linalg::widen(rows, f32_widen_);
+    ra_fd_->append_batch(f32_widen_);
+  } else {
+    ra_fd_->append_batch(rows);
+  }
+}
+
+template <typename T>
+AramsResult Arams::sketch_rows(linalg::BasicMatrixView<T> x) {
   const obs::ScopedSpan span("arams.sketch_matrix");
   AramsResult result;
   Stopwatch timer;
 
-  const Matrix* input = &x;
-  Matrix sampled;
-  if (config_.use_sampling && config_.beta < 1.0) {
+  std::optional<Matrix> sampled;
+  {
     const obs::ScopedSpan sample_span("arams.sample");
-    PrioritySamplerConfig ps;
-    ps.weight = config_.weight;
-    ps.seed = config_.seed ^ 0x5a5a5a5aull;
-    sampled = priority_sample(x, config_.beta, ps);
-    input = &sampled;
+    sampled = sample(x, config_.seed ^ 0x5a5a5a5aull);
   }
   result.report.set_seconds("sample", timer.lap());
-  result.rows_sampled = input->rows();
-  rows_sampled_total_ += input->rows();
+  result.rows_sampled = sampled ? sampled->rows() : x.rows();
+  rows_sampled_total_ += result.rows_sampled;
 
   {
     const obs::ScopedSpan sketch_span("arams.sketch");
     if (ra_fd_) {
-      ra_fd_->set_rows_remaining(static_cast<long>(input->rows()));
-      ra_fd_->append_batch(*input);
+      ra_fd_->set_rows_remaining(static_cast<long>(result.rows_sampled));
+    }
+    if (sampled) {
+      feed_fd(linalg::MatrixView(*sampled));
     } else {
-      fixed_fd_->append_batch(*input);
+      feed_fd(x);
     }
     fd().compress();
   }
@@ -111,55 +134,33 @@ AramsResult Arams::sketch_matrix(const Matrix& x) {
   return result;
 }
 
-void Arams::push_batch(const Matrix& batch) {
+template <typename T>
+void Arams::push_rows(linalg::BasicMatrixView<T> batch) {
+  if (batch.rows() == 0) return;
   Stopwatch timer;
-  const Matrix* input = &batch;
-  Matrix sampled;
-  if (config_.use_sampling && config_.beta < 1.0) {
-    PrioritySamplerConfig ps;
-    ps.weight = config_.weight;
-    ps.seed = config_.seed ^ (0x9e3779b9ull + rows_sampled_total_);
-    sampled = priority_sample(batch, config_.beta, ps);
-    input = &sampled;
-  }
+  const std::optional<Matrix> sampled =
+      sample(batch, config_.seed ^ (0x9e3779b9ull + rows_sampled_total_));
   sample_seconds_ += timer.lap();
-  rows_sampled_total_ += input->rows();
-  if (ra_fd_) {
-    ra_fd_->append_batch(*input);
+  if (sampled) {
+    rows_sampled_total_ += sampled->rows();
+    feed_fd(linalg::MatrixView(*sampled));
   } else {
-    fixed_fd_->append_batch(*input);
+    rows_sampled_total_ += batch.rows();
+    feed_fd(batch);
   }
 }
 
-void Arams::push_batch(linalg::MatrixViewF batch) {
-  if (batch.rows() == 0) return;
-  Stopwatch timer;
-  if (config_.use_sampling && config_.beta < 1.0) {
-    PrioritySamplerConfig ps;
-    ps.weight = config_.weight;
-    ps.seed = config_.seed ^ (0x9e3779b9ull + rows_sampled_total_);
-    // The fp32 sampler overload widens only the ⌈βn⌉ survivors.
-    const Matrix sampled = priority_sample(batch, config_.beta, ps);
-    sample_seconds_ += timer.lap();
-    rows_sampled_total_ += sampled.rows();
-    if (ra_fd_) {
-      ra_fd_->append_batch(sampled);
-    } else {
-      fixed_fd_->append_batch(sampled);
-    }
-    return;
-  }
-  sample_seconds_ += timer.lap();
-  rows_sampled_total_ += batch.rows();
-  if (ra_fd_) {
-    // RankAdaptiveFd's recent-row window shadows the float append path;
-    // widen once into grow-only scratch and reuse its fp64 entry point.
-    linalg::widen(batch, f32_widen_);
-    ra_fd_->append_batch(f32_widen_);
-  } else {
-    fixed_fd_->append_batch(batch);
-  }
+AramsResult Arams::sketch_matrix(linalg::MatrixView x) {
+  return sketch_rows(x);
 }
+
+AramsResult Arams::sketch_matrix(linalg::MatrixViewF x) {
+  return sketch_rows(x);
+}
+
+void Arams::push_batch(linalg::MatrixView batch) { push_rows(batch); }
+
+void Arams::push_batch(linalg::MatrixViewF batch) { push_rows(batch); }
 
 Matrix Arams::sketch() {
   fd().compress();

@@ -72,19 +72,19 @@ class Arams {
   explicit Arams(const AramsConfig& config);
 
   /// Algorithm 3: priority-sample the whole matrix to ⌈βn⌉ rows, then run
-  /// (rank-adaptive) FD over the sample.
-  AramsResult sketch_matrix(const linalg::Matrix& x);
+  /// (rank-adaptive) FD over the sample. Takes rows of either precision;
+  /// see push_batch for how fp32 rows reach the FD.
+  AramsResult sketch_matrix(linalg::MatrixView x);
+  AramsResult sketch_matrix(linalg::MatrixViewF x);
 
   /// Streaming: sample within this batch, then feed the survivors to the
-  /// persistent FD state.
-  void push_batch(const linalg::Matrix& batch);
-
-  /// fp32 streaming ingest. When sampling is on, the fp32 priority-sampler
-  /// overload consumes the float rows directly (weights accumulate in
-  /// double, same RNG stream) and emits fp64 survivors; when sampling is
-  /// off the batch feeds fixed FD's float path, or is widened once into
-  /// grow-only scratch for the rank-adaptive FD (whose recent-row window
-  /// is fp64). Bitwise identical to widening the batch up front.
+  /// persistent FD state. With fp32 rows and sampling on, the fp32
+  /// priority-sampler overload consumes the floats directly (weights
+  /// accumulate in double, same RNG stream) and emits fp64 survivors; with
+  /// sampling off the batch feeds fixed FD's float path, or is widened once
+  /// into grow-only scratch for the rank-adaptive FD (whose recent-row
+  /// window is fp64). Bitwise identical to widening the batch up front.
+  void push_batch(linalg::MatrixView batch);
   void push_batch(linalg::MatrixViewF batch);
 
   /// Current sketch (compressed to ≤ ℓ rows).
@@ -106,6 +106,20 @@ class Arams {
 
  private:
   FrequentDirections& fd();
+
+  /// The bodies behind both precisions of sketch_matrix / push_batch.
+  template <typename T>
+  AramsResult sketch_rows(linalg::BasicMatrixView<T> x);
+  template <typename T>
+  void push_rows(linalg::BasicMatrixView<T> batch);
+  /// Stage 1: the priority sample of `rows` drawn with `seed`, or nullopt
+  /// when sampling is off and the rows feed the FD as they are.
+  template <typename T>
+  std::optional<linalg::Matrix> sample(linalg::BasicMatrixView<T> rows,
+                                       std::uint64_t seed) const;
+  /// Stage 2: appends rows to the FD state.
+  template <typename T>
+  void feed_fd(linalg::BasicMatrixView<T> rows);
 
   AramsConfig config_;
   std::unique_ptr<RankAdaptiveFd> ra_fd_;        // set when rank_adaptive

@@ -28,28 +28,14 @@ void GaussianProjectionSketch::ensure_dim(std::size_t d) {
   ARAMS_CHECK(d == sketch_.cols(), "row dimension changed");
 }
 
-void GaussianProjectionSketch::push_batch(const Matrix& batch) {
+template <typename T>
+void GaussianProjectionSketch::push_rows(linalg::BasicMatrixView<T> batch) {
   if (batch.rows() == 0) return;
   ensure_dim(batch.cols());
   // One b×ℓ coefficient block, same draw order as the row loop (ℓ normals
-  // per input row), then a single packed GEMM: B += 1/√ℓ · Cᵀ·A.
-  coeff_block_.reshape(batch.rows(), ell_);
-  for (std::size_t r = 0; r < batch.rows(); ++r) {
-    rng_.fill_normal(coeff_block_.row(r));
-  }
-  linalg::matmul_tn(coeff_block_, batch, update_);
-  const double scale = 1.0 / std::sqrt(static_cast<double>(ell_));
-  for (std::size_t i = 0; i < ell_; ++i) {
-    linalg::axpy(scale, update_.row(i), sketch_.row(i));
-  }
-  stats_.rows_processed += static_cast<long>(batch.rows());
-}
-
-void GaussianProjectionSketch::push_batch(linalg::MatrixViewF batch) {
-  if (batch.rows() == 0) return;
-  ensure_dim(batch.cols());
-  // Same draw order as the fp64 batch path; the mixed GEMM widens the
-  // float panel register-tile-wise inside the fp64 micro-kernel.
+  // per input row), then a single packed GEMM: B += 1/√ℓ · Cᵀ·A. An fp32
+  // batch goes through the mixed GEMM, which widens the float panel
+  // register-tile-wise inside the fp64 micro-kernel.
   coeff_block_.reshape(batch.rows(), ell_);
   for (std::size_t r = 0; r < batch.rows(); ++r) {
     rng_.fill_normal(coeff_block_.row(r));
@@ -60,6 +46,14 @@ void GaussianProjectionSketch::push_batch(linalg::MatrixViewF batch) {
     linalg::axpy(scale, update_.row(i), sketch_.row(i));
   }
   stats_.rows_processed += static_cast<long>(batch.rows());
+}
+
+void GaussianProjectionSketch::push_batch(const Matrix& batch) {
+  push_rows(linalg::MatrixView(batch));
+}
+
+void GaussianProjectionSketch::push_batch(linalg::MatrixViewF batch) {
+  push_rows(batch);
   note_f32_rows(batch.rows());
 }
 
@@ -89,21 +83,17 @@ void CountSketch::ensure_dim(std::size_t d) {
   ARAMS_CHECK(d == sketch_.cols(), "row dimension changed");
 }
 
-void CountSketch::scatter(std::span<const double> row) {
+template <typename T>
+void CountSketch::scatter(std::span<const T> row) {
   const std::uint64_t h = rng_.next_u64();
   const std::size_t bucket = h % ell_;
   const double sign = (h >> 63) ? 1.0 : -1.0;
+  // fp32 rows go through the float axpy (terms widen before the add).
   linalg::axpy(sign, row, sketch_.row(bucket));
 }
 
-void CountSketch::scatter(std::span<const float> row) {
-  const std::uint64_t h = rng_.next_u64();
-  const std::size_t bucket = h % ell_;
-  const double sign = (h >> 63) ? 1.0 : -1.0;
-  linalg::axpy(sign, row, sketch_.row(bucket));
-}
-
-void CountSketch::push_batch(const Matrix& batch) {
+template <typename T>
+void CountSketch::push_rows(linalg::BasicMatrixView<T> batch) {
   if (batch.rows() == 0) return;
   ensure_dim(batch.cols());
   // Single scatter pass; the hash stream matches the row loop exactly, so
@@ -114,14 +104,12 @@ void CountSketch::push_batch(const Matrix& batch) {
   stats_.rows_processed += static_cast<long>(batch.rows());
 }
 
+void CountSketch::push_batch(const Matrix& batch) {
+  push_rows(linalg::MatrixView(batch));
+}
+
 void CountSketch::push_batch(linalg::MatrixViewF batch) {
-  if (batch.rows() == 0) return;
-  ensure_dim(batch.cols());
-  // Same hash stream as the fp64 scatter; only the axpy reads floats.
-  for (std::size_t r = 0; r < batch.rows(); ++r) {
-    scatter(batch.row(r));
-  }
-  stats_.rows_processed += static_cast<long>(batch.rows());
+  push_rows(batch);
   note_f32_rows(batch.rows());
 }
 

@@ -53,6 +53,9 @@ class GaussianProjectionSketch : public Sketcher {
 
  private:
   void ensure_dim(std::size_t d);
+  /// The push_batch body behind both precisions.
+  template <typename T>
+  void push_rows(linalg::BasicMatrixView<T> batch);
 
   std::size_t ell_;
   Rng rng_;
@@ -84,8 +87,11 @@ class CountSketch : public Sketcher {
 
  private:
   void ensure_dim(std::size_t d);
-  void scatter(std::span<const double> row);
-  void scatter(std::span<const float> row);
+  /// The push_batch body and its per-row scatter, behind both precisions.
+  template <typename T>
+  void push_rows(linalg::BasicMatrixView<T> batch);
+  template <typename T>
+  void scatter(std::span<const T> row);
 
   std::size_t ell_;
   Rng rng_;

@@ -26,41 +26,40 @@ void FrequentDirections::ensure_dim(std::size_t d) {
   ARAMS_CHECK(d == dim_, "row dimension changed mid-stream");
 }
 
-void FrequentDirections::append(std::span<const double> row) {
+template <typename T>
+void FrequentDirections::append_row(std::span<const T> row) {
   ensure_dim(row.size());
   if (buffer_full()) {
     shrink();
   }
-  buffer_.set_row(next_zero_row_, row);
+  // Copies (or, for fp32 rows, widens) straight into the destination
+  // buffer row — the only conversion the row ever sees.
+  std::copy(row.begin(), row.end(), buffer_.row(next_zero_row_).begin());
   ++next_zero_row_;
   ++stats_.rows_processed;
+}
+
+void FrequentDirections::append(std::span<const double> row) {
+  append_row(row);
 }
 
 void FrequentDirections::append(std::span<const float> row) {
-  ensure_dim(row.size());
-  if (buffer_full()) {
-    shrink();
-  }
-  // Widen straight into the destination buffer row — the only fp32→fp64
-  // conversion this row ever sees.
-  auto dst = buffer_.row(next_zero_row_);
-  for (std::size_t j = 0; j < row.size(); ++j) {
-    dst[j] = static_cast<double>(row[j]);
-  }
-  ++next_zero_row_;
-  ++stats_.rows_processed;
+  append_row(row);
 }
 
-void FrequentDirections::append_batch(const Matrix& rows) {
+template <typename T>
+void FrequentDirections::append_rows(linalg::BasicMatrixView<T> rows) {
   for (std::size_t r = 0; r < rows.rows(); ++r) {
-    append(rows.row(r));
+    append_row(rows.row(r));
   }
+}
+
+void FrequentDirections::append_batch(linalg::MatrixView rows) {
+  append_rows(rows);
 }
 
 void FrequentDirections::append_batch(linalg::MatrixViewF rows) {
-  for (std::size_t r = 0; r < rows.rows(); ++r) {
-    append(rows.row(r));
-  }
+  append_rows(rows);
 }
 
 void FrequentDirections::shrink() {

@@ -31,19 +31,15 @@ class FrequentDirections {
   explicit FrequentDirections(const FdConfig& config);
 
   /// Appends one data row. The first append fixes the column dimension d;
-  /// subsequent rows must match it.
-  void append(std::span<const double> row);
-
-  /// fp32 ingest lane: identical control flow, widening the row directly
-  /// into the buffer slot it lands in — no intermediate fp64 copy. All
+  /// subsequent rows must match it. An fp32 row widens straight into the
+  /// buffer slot it lands in — no intermediate fp64 copy — and all
   /// downstream arithmetic (shrink SVD) is fp64, so the result is bitwise
   /// identical to appending the widened row.
+  void append(std::span<const double> row);
   void append(std::span<const float> row);
 
-  /// Appends every row of a matrix.
-  void append_batch(const linalg::Matrix& rows);
-
-  /// fp32 batch ingest (row loop over the float append).
+  /// Appends every row of a matrix (either precision).
+  void append_batch(linalg::MatrixView rows);
   void append_batch(linalg::MatrixViewF rows);
 
   /// Current sketch: the occupied (non-zero) buffer rows. May hold up to
@@ -101,6 +97,11 @@ class FrequentDirections {
 
  private:
   void ensure_dim(std::size_t d);
+  /// The one append body behind both precisions.
+  template <typename T>
+  void append_row(std::span<const T> row);
+  template <typename T>
+  void append_rows(linalg::BasicMatrixView<T> rows);
 };
 
 }  // namespace arams::core

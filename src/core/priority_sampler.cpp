@@ -68,7 +68,7 @@ void PrioritySampler::push(std::span<const double> row) { push_any(row); }
 
 void PrioritySampler::push(std::span<const float> row) { push_any(row); }
 
-void PrioritySampler::push_batch(const Matrix& rows) {
+void PrioritySampler::push_batch(linalg::MatrixView rows) {
   for (std::size_t r = 0; r < rows.rows(); ++r) {
     push(rows.row(r));
   }
@@ -119,11 +119,18 @@ Matrix PrioritySampler::take() {
   return out;
 }
 
-Matrix priority_sample(const Matrix& a, double fraction,
-                       const PrioritySamplerConfig& base_config) {
+namespace {
+
+template <typename T>
+Matrix sample_rows(linalg::BasicMatrixView<T> a, double fraction,
+                   const PrioritySamplerConfig& base_config) {
   ARAMS_CHECK(fraction > 0.0 && fraction <= 1.0,
               "sampling fraction must be in (0, 1]");
-  if (fraction >= 1.0) return a;
+  if (fraction >= 1.0) {
+    Matrix all(a.rows(), a.cols());
+    std::copy(a.data(), a.data() + a.size(), all.data());
+    return all;
+  }
   PrioritySamplerConfig config = base_config;
   config.capacity = static_cast<std::size_t>(
       std::ceil(fraction * static_cast<double>(a.rows())));
@@ -133,18 +140,16 @@ Matrix priority_sample(const Matrix& a, double fraction,
   return sampler.take();
 }
 
+}  // namespace
+
+Matrix priority_sample(linalg::MatrixView a, double fraction,
+                       const PrioritySamplerConfig& base_config) {
+  return sample_rows(a, fraction, base_config);
+}
+
 Matrix priority_sample(linalg::MatrixViewF a, double fraction,
                        const PrioritySamplerConfig& base_config) {
-  ARAMS_CHECK(fraction > 0.0 && fraction <= 1.0,
-              "sampling fraction must be in (0, 1]");
-  if (fraction >= 1.0) return a.to_matrix();
-  PrioritySamplerConfig config = base_config;
-  config.capacity = static_cast<std::size_t>(
-      std::ceil(fraction * static_cast<double>(a.rows())));
-  config.capacity = std::max<std::size_t>(config.capacity, 1);
-  PrioritySampler sampler(config);
-  sampler.push_batch(a);
-  return sampler.take();
+  return sample_rows(a, fraction, base_config);
 }
 
 }  // namespace arams::core

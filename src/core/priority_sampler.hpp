@@ -42,10 +42,8 @@ class PrioritySampler {
   /// pushing the widened row.
   void push(std::span<const float> row);
 
-  /// Offers every row of a matrix.
-  void push_batch(const linalg::Matrix& rows);
-
-  /// Offers every row of an fp32 view.
+  /// Offers every row of a matrix (either precision).
+  void push_batch(linalg::MatrixView rows);
   void push_batch(linalg::MatrixViewF rows);
 
   /// Extracts the sampled (and rescaled) rows, in stream order, and resets
@@ -88,13 +86,11 @@ class PrioritySampler {
 };
 
 /// One-shot convenience: priority-samples the rows of `a` down to
-/// ⌈fraction·n⌉ rows. fraction in (0, 1]; 1 returns `a` unchanged.
-linalg::Matrix priority_sample(const linalg::Matrix& a, double fraction,
+/// ⌈fraction·n⌉ rows. fraction in (0, 1]; 1 returns `a` unchanged. fp32
+/// input makes the same sampling decisions as its widened copy; only the
+/// survivors are widened (fraction ≥ 1 widens the whole view).
+linalg::Matrix priority_sample(linalg::MatrixView a, double fraction,
                                const PrioritySamplerConfig& base_config);
-
-/// fp32 one-shot: identical sampling decisions to the fp64 overload on the
-/// widened input; only the survivors are widened (fraction ≥ 1 widens the
-/// whole view).
 linalg::Matrix priority_sample(linalg::MatrixViewF a, double fraction,
                                const PrioritySamplerConfig& base_config);
 

@@ -10,24 +10,23 @@
 // independent of pool size or scheduling: results are bitwise identical
 // at any thread count (including pool == nullptr, fully inline).
 //
-// Concurrency/allocation contract: every shard owns its inner sketcher, a
-// private linalg::Workspace gather arena (wslot::kShardGather) and a
-// grow-only fp32 gather buffer, so concurrent shard tasks never share
-// mutable state (no locks on the data path) and steady-state ingest
-// performs no heap allocation in the shard work itself. Dispatching onto a
-// ThreadPool costs O(shards) small control allocations per batch; run with
-// pool == nullptr for strictly allocation-free inline ingest.
+// Concurrency/allocation contract: every shard owns its inner sketcher and
+// grow-only gather buffers (one per precision), so concurrent shard tasks
+// never share mutable state (no locks on the data path) and steady-state
+// ingest performs no heap allocation in the shard work itself. Dispatching
+// onto a ThreadPool costs O(shards) small control allocations per batch;
+// run with pool == nullptr for strictly allocation-free inline ingest.
 
 #include <cstddef>
 #include <functional>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/merge.hpp"
 #include "core/sketcher.hpp"
 #include "linalg/matrix.hpp"
-#include "linalg/workspace.hpp"
 #include "obs/metrics.hpp"
 
 namespace arams::parallel {
@@ -73,11 +72,17 @@ class ShardedSketcher final : public Sketcher {
  private:
   struct Shard {
     std::unique_ptr<Sketcher> inner;
-    linalg::Workspace ws;        ///< fp64 gather arena (wslot::kShardGather)
-    linalg::MatrixF gather_f32;  ///< fp32 lane gather, grow-only
+    /// Grow-only round-robin gather buffer, one per ingest precision.
+    std::tuple<linalg::Matrix, linalg::MatrixF> gather;
     obs::Gauge* rows_gauge = nullptr;  ///< "sketch.shard_rows.<s>"
     long rows = 0;
   };
+
+  /// The one round-robin ingest body. `Rows` is a type the Sketcher seam
+  /// takes (Matrix or MatrixViewF); shards gather rows at the batch's own
+  /// precision.
+  template <typename Rows>
+  void push_rows(const Rows& batch);
 
   /// True when shard work should go to the pool (>1 worker, >1 shard).
   [[nodiscard]] bool use_pool() const;

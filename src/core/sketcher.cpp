@@ -177,19 +177,9 @@ void Sketcher::push_batch(linalg::MatrixViewF batch) {
 }
 
 void Sketcher::append(std::span<const float> row) {
-  static obs::Histogram& widen_hist =
-      obs::metrics().histogram("ingest.widen_seconds");
-  Stopwatch timer;
-  const std::span<double> wide =
-      ingest_ws_.vec(linalg::wslot::kIngestRow, row.size());
-  for (std::size_t i = 0; i < row.size(); ++i) {
-    wide[i] = static_cast<double>(row[i]);
-  }
-  const double seconds = timer.seconds();
-  widen_seconds_ += seconds;
-  widen_hist.observe(seconds);
-  note_f32_rows(1);
-  append(std::span<const double>(wide.data(), wide.size()));
+  const Matrix& wide =
+      widen_to_scratch(linalg::MatrixViewF(row.data(), 1, row.size()));
+  append(wide.row(0));
 }
 
 Matrix Sketcher::basis(std::size_t k) {

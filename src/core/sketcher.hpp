@@ -74,8 +74,8 @@ class Sketcher {
   /// native paths accumulate in double.
   virtual void push_batch(linalg::MatrixViewF batch);
 
-  /// fp32 per-row convenience; default widens into vec scratch and calls
-  /// the fp64 append.
+  /// fp32 per-row convenience; default widens through the same scratch as
+  /// push_batch and calls the fp64 append.
   virtual void append(std::span<const float> row);
 
   /// Current sketch, ≤ current_ell() rows × dim(). May compress internal

@@ -103,30 +103,30 @@ void BasicImage<T>::save_pgm(const std::string& path) const {
 template class BasicImage<double>;
 template class BasicImage<float>;
 
-ImageF32 narrow(const ImageF& img) {
-  ImageF32 out(img.height(), img.width());
-  const std::span<const double> src = img.pixels();
-  const std::span<float> dst = out.pixels();
-  for (std::size_t i = 0; i < src.size(); ++i) {
-    dst[i] = static_cast<float>(src[i]);
-  }
+namespace {
+
+/// One cast per pixel — the body of narrow/widen.
+template <typename To, typename From>
+BasicImage<To> convert(const BasicImage<From>& img) {
+  BasicImage<To> out(img.height(), img.width());
+  const std::span<const From> src = img.pixels();
+  std::transform(src.begin(), src.end(), out.pixels().begin(),
+                 [](From v) { return static_cast<To>(v); });
   return out;
 }
 
-ImageF widen(const ImageF32& img) {
-  ImageF out(img.height(), img.width());
-  const std::span<const float> src = img.pixels();
-  const std::span<double> dst = out.pixels();
-  for (std::size_t i = 0; i < src.size(); ++i) {
-    dst[i] = static_cast<double>(src[i]);
-  }
-  return out;
-}
+}  // namespace
 
-linalg::Matrix images_to_matrix(const std::vector<ImageF>& images) {
+ImageF32 narrow(const ImageF& img) { return convert<float>(img); }
+
+ImageF widen(const ImageF32& img) { return convert<double>(img); }
+
+template <typename T>
+linalg::BasicMatrix<T> images_to_matrix(
+    const std::vector<BasicImage<T>>& images) {
   ARAMS_CHECK(!images.empty(), "empty image batch");
   const std::size_t d = images.front().pixel_count();
-  linalg::Matrix out(images.size(), d);
+  linalg::BasicMatrix<T> out(images.size(), d);
   for (std::size_t i = 0; i < images.size(); ++i) {
     ARAMS_CHECK(images[i].pixel_count() == d, "inconsistent image shapes");
     images[i].to_row(out.row(i));
@@ -134,15 +134,7 @@ linalg::Matrix images_to_matrix(const std::vector<ImageF>& images) {
   return out;
 }
 
-linalg::MatrixF images_to_matrix(const std::vector<ImageF32>& images) {
-  ARAMS_CHECK(!images.empty(), "empty image batch");
-  const std::size_t d = images.front().pixel_count();
-  linalg::MatrixF out(images.size(), d);
-  for (std::size_t i = 0; i < images.size(); ++i) {
-    ARAMS_CHECK(images[i].pixel_count() == d, "inconsistent image shapes");
-    images[i].to_row(out.row(i));
-  }
-  return out;
-}
+template linalg::Matrix images_to_matrix(const std::vector<ImageF>&);
+template linalg::MatrixF images_to_matrix(const std::vector<ImageF32>&);
 
 }  // namespace arams::image

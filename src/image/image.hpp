@@ -76,10 +76,10 @@ ImageF32 narrow(const ImageF& img);
 /// Widens an fp32 frame to fp64.
 ImageF widen(const ImageF32& img);
 
-/// Flattens a batch of same-shaped images into an n×d matrix.
-linalg::Matrix images_to_matrix(const std::vector<ImageF>& images);
-
-/// fp32 flavour: flattens into an n×d MatrixF without an fp64 round trip.
-linalg::MatrixF images_to_matrix(const std::vector<ImageF32>& images);
+/// Flattens a batch of same-shaped images into an n×d matrix of the same
+/// pixel type (fp32 frames flatten without an fp64 round trip).
+template <typename T>
+linalg::BasicMatrix<T> images_to_matrix(
+    const std::vector<BasicImage<T>>& images);
 
 }  // namespace arams::image

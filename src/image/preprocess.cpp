@@ -5,15 +5,13 @@
 
 namespace arams::image {
 
-namespace {
-
-// Shared template implementations. Pixel arithmetic happens at the pixel
-// type; every *reduction* (total intensity, centroid, block mean) runs in
+// One template per kernel, explicitly instantiated for both pixel types
+// at the end of the file. Pixel arithmetic happens at the pixel type; every *reduction* (total intensity, centroid, block mean) runs in
 // double, so the `!(x > 0)` NaN guards below behave identically in the
 // fp64 and fp32 lanes.
 
 template <typename T>
-void threshold_below_impl(BasicImage<T>& img, double threshold) {
+void threshold_below(BasicImage<T>& img, double threshold) {
   // Branchless select (value-identical to the old `if`, NaN keeps the
   // pixel either way) so the pass vectorizes instead of mispredicting on
   // speckle-like intensity distributions. The fp32 lane compares at pixel
@@ -27,14 +25,14 @@ void threshold_below_impl(BasicImage<T>& img, double threshold) {
 }
 
 template <typename T>
-void threshold_relative_impl(BasicImage<T>& img, double fraction) {
+void threshold_relative(BasicImage<T>& img, double fraction) {
   if (fraction <= 0.0) return;
-  threshold_below_impl(img,
+  threshold_below(img,
                        fraction * static_cast<double>(img.max_intensity()));
 }
 
 template <typename T>
-void normalize_intensity_impl(BasicImage<T>& img, double target) {
+void normalize_intensity(BasicImage<T>& img, double target) {
   // !(x > 0) rather than x <= 0 so a NaN total (a bad pixel somewhere in
   // the frame) skips normalization instead of smearing NaN everywhere.
   const double total = img.total_intensity();
@@ -50,7 +48,7 @@ void normalize_intensity_impl(BasicImage<T>& img, double target) {
 }
 
 template <typename T>
-CenterOfMass center_of_mass_impl(const BasicImage<T>& img) {
+CenterOfMass center_of_mass(const BasicImage<T>& img) {
   CenterOfMass com;
   for (std::size_t y = 0; y < img.height(); ++y) {
     for (std::size_t x = 0; x < img.width(); ++x) {
@@ -73,7 +71,7 @@ CenterOfMass center_of_mass_impl(const BasicImage<T>& img) {
 // bitwise-frozen fp64 kernel by design. NaN anywhere lands in com.mass,
 // so the !(mass > 0) guard in center_on_mass still bails out.
 template <>
-CenterOfMass center_of_mass_impl(const BasicImage<float>& img) {
+CenterOfMass center_of_mass(const BasicImage<float>& img) {
   CenterOfMass com;
   const std::size_t w = img.width();
   for (std::size_t y = 0; y < img.height(); ++y) {
@@ -113,10 +111,10 @@ CenterOfMass center_of_mass_impl(const BasicImage<float>& img) {
 }
 
 template <typename T>
-void center_on_mass_impl(BasicImage<T>& img) {
+void center_on_mass(BasicImage<T>& img) {
   // !(x > 0) so a NaN mass bails out too: lround(NaN) below is undefined
   // behavior, and the resulting garbage shift silently blanks the frame.
-  const CenterOfMass com = center_of_mass_impl(img);
+  const CenterOfMass com = center_of_mass(img);
   if (!(com.mass > 0.0)) return;
   const auto cy = static_cast<long>(std::lround(
       static_cast<double>(img.height() - 1) / 2.0 - com.y));
@@ -147,7 +145,7 @@ void center_on_mass_impl(BasicImage<T>& img) {
 }
 
 template <typename T>
-BasicImage<T> crop_center_impl(const BasicImage<T>& img, std::size_t height,
+BasicImage<T> crop_center(const BasicImage<T>& img, std::size_t height,
                                std::size_t width) {
   ARAMS_CHECK(height <= img.height() && width <= img.width(),
               "crop larger than image");
@@ -163,7 +161,7 @@ BasicImage<T> crop_center_impl(const BasicImage<T>& img, std::size_t height,
 }
 
 template <typename T>
-BasicImage<T> downsample_impl(const BasicImage<T>& img, std::size_t factor) {
+BasicImage<T> downsample(const BasicImage<T>& img, std::size_t factor) {
   ARAMS_CHECK(factor >= 1, "downsample factor must be >= 1");
   if (factor == 1) return img;
   ARAMS_CHECK(img.height() % factor == 0 && img.width() % factor == 0,
@@ -187,97 +185,50 @@ BasicImage<T> downsample_impl(const BasicImage<T>& img, std::size_t factor) {
 }
 
 template <typename T>
-BasicImage<T> preprocess_impl(const BasicImage<T>& img,
+BasicImage<T> preprocess(const BasicImage<T>& img,
                               const PreprocessConfig& config) {
   BasicImage<T> out = img;
   if (config.threshold_fraction > 0.0) {
-    threshold_relative_impl(out, config.threshold_fraction);
+    threshold_relative(out, config.threshold_fraction);
   }
   if (config.center) {
-    center_on_mass_impl(out);
+    center_on_mass(out);
   }
   if (config.normalize) {
-    normalize_intensity_impl(out, 1.0);
+    normalize_intensity(out, 1.0);
   }
   if (config.downsample_factor > 1) {
-    out = downsample_impl(out, config.downsample_factor);
+    out = downsample(out, config.downsample_factor);
   }
   return out;
 }
 
 template <typename T>
-std::vector<BasicImage<T>> preprocess_batch_impl(
+std::vector<BasicImage<T>> preprocess_batch(
     const std::vector<BasicImage<T>>& images, const PreprocessConfig& config) {
   std::vector<BasicImage<T>> out;
   out.reserve(images.size());
   for (const auto& img : images) {
-    out.push_back(preprocess_impl(img, config));
+    out.push_back(preprocess(img, config));
   }
   return out;
 }
 
-}  // namespace
-
-void threshold_below(ImageF& img, double threshold) {
-  threshold_below_impl(img, threshold);
-}
-void threshold_below(ImageF32& img, double threshold) {
-  threshold_below_impl(img, threshold);
-}
-
-void threshold_relative(ImageF& img, double fraction) {
-  threshold_relative_impl(img, fraction);
-}
-void threshold_relative(ImageF32& img, double fraction) {
-  threshold_relative_impl(img, fraction);
-}
-
-void normalize_intensity(ImageF& img, double target) {
-  normalize_intensity_impl(img, target);
-}
-void normalize_intensity(ImageF32& img, double target) {
-  normalize_intensity_impl(img, target);
-}
-
-CenterOfMass center_of_mass(const ImageF& img) {
-  return center_of_mass_impl(img);
-}
-CenterOfMass center_of_mass(const ImageF32& img) {
-  return center_of_mass_impl(img);
-}
-
-void center_on_mass(ImageF& img) { center_on_mass_impl(img); }
-void center_on_mass(ImageF32& img) { center_on_mass_impl(img); }
-
-ImageF crop_center(const ImageF& img, std::size_t height, std::size_t width) {
-  return crop_center_impl(img, height, width);
-}
-ImageF32 crop_center(const ImageF32& img, std::size_t height,
-                     std::size_t width) {
-  return crop_center_impl(img, height, width);
-}
-
-ImageF downsample(const ImageF& img, std::size_t factor) {
-  return downsample_impl(img, factor);
-}
-ImageF32 downsample(const ImageF32& img, std::size_t factor) {
-  return downsample_impl(img, factor);
-}
-
-ImageF preprocess(const ImageF& img, const PreprocessConfig& config) {
-  return preprocess_impl(img, config);
-}
-ImageF32 preprocess(const ImageF32& img, const PreprocessConfig& config) {
-  return preprocess_impl(img, config);
-}
-
-std::vector<ImageF> preprocess_batch(const std::vector<ImageF>& images,
-                                     const PreprocessConfig& config) {
-  return preprocess_batch_impl(images, config);
-}
-std::vector<ImageF32> preprocess_batch(const std::vector<ImageF32>& images,
-                                       const PreprocessConfig& config) {
-  return preprocess_batch_impl(images, config);
-}
+#define ARAMS_PREPROCESS_INSTANTIATE(T)                                    \
+  template void threshold_below(BasicImage<T>&, double);                   \
+  template void threshold_relative(BasicImage<T>&, double);                \
+  template void normalize_intensity(BasicImage<T>&, double);               \
+  template void center_on_mass(BasicImage<T>&);                            \
+  template BasicImage<T> crop_center(const BasicImage<T>&, std::size_t,    \
+                                     std::size_t);                         \
+  template BasicImage<T> downsample(const BasicImage<T>&, std::size_t);    \
+  template BasicImage<T> preprocess(const BasicImage<T>&,                  \
+                                    const PreprocessConfig&);              \
+  template std::vector<BasicImage<T>> preprocess_batch(                    \
+      const std::vector<BasicImage<T>>&, const PreprocessConfig&);
+ARAMS_PREPROCESS_INSTANTIATE(double)
+ARAMS_PREPROCESS_INSTANTIATE(float)
+#undef ARAMS_PREPROCESS_INSTANTIATE
+template CenterOfMass center_of_mass(const BasicImage<double>&);
 
 }  // namespace arams::image

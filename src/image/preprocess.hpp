@@ -3,11 +3,10 @@
 // thresholding, intensity normalization, and center-of-mass centering so the
 // sketch focuses on beam *shape* rather than pointing jitter or pulse energy.
 //
-// Every kernel exists for both pixel precisions: the ImageF (fp64)
-// overloads are the default analysis path; the ImageF32 overloads serve
-// the fp32 ingest lane and share one template implementation, with all
-// reductions (totals, centroids, block means) accumulated in double so
-// the NaN-guard semantics are identical in both lanes.
+// Every kernel is one template over the pixel type, instantiated for
+// ImageF (fp64, the default analysis path) and ImageF32 (the fp32 ingest
+// lane), with all reductions (totals, centroids, block means) accumulated
+// in double so the NaN-guard semantics are identical in both lanes.
 
 #include <vector>
 
@@ -22,35 +21,38 @@ struct CenterOfMass {
 };
 
 /// Zeroes pixels below `threshold` (absolute counts).
-void threshold_below(ImageF& img, double threshold);
-void threshold_below(ImageF32& img, double threshold);
+template <typename T>
+void threshold_below(BasicImage<T>& img, double threshold);
 
 /// Zeroes pixels below `fraction` of the maximum (robust to pulse energy).
-void threshold_relative(ImageF& img, double fraction);
-void threshold_relative(ImageF32& img, double fraction);
+template <typename T>
+void threshold_relative(BasicImage<T>& img, double fraction);
 
 /// Scales the image so the total intensity equals `target` (no-op for an
 /// all-zero image).
-void normalize_intensity(ImageF& img, double target = 1.0);
-void normalize_intensity(ImageF32& img, double target = 1.0);
+template <typename T>
+void normalize_intensity(BasicImage<T>& img, double target = 1.0);
 
 /// Intensity-weighted centroid (double accumulation in both lanes).
-CenterOfMass center_of_mass(const ImageF& img);
-CenterOfMass center_of_mass(const ImageF32& img);
+template <typename T>
+CenterOfMass center_of_mass(const BasicImage<T>& img);
+/// fp32 lane: a multi-accumulator kernel (see preprocess.cpp).
+template <>
+CenterOfMass center_of_mass(const BasicImage<float>& img);
 
 /// Translates the image by integer pixels so the center of mass lands on the
 /// geometric center; vacated pixels are zero-filled.
-void center_on_mass(ImageF& img);
-void center_on_mass(ImageF32& img);
+template <typename T>
+void center_on_mass(BasicImage<T>& img);
 
 /// Central crop to (height, width); throws if the crop exceeds the image.
-ImageF crop_center(const ImageF& img, std::size_t height, std::size_t width);
-ImageF32 crop_center(const ImageF32& img, std::size_t height,
-                     std::size_t width);
+template <typename T>
+BasicImage<T> crop_center(const BasicImage<T>& img, std::size_t height,
+                          std::size_t width);
 
 /// Block-mean downsampling by an integer `factor` (dimensions must divide).
-ImageF downsample(const ImageF& img, std::size_t factor);
-ImageF32 downsample(const ImageF32& img, std::size_t factor);
+template <typename T>
+BasicImage<T> downsample(const BasicImage<T>& img, std::size_t factor);
 
 /// Preprocessing pipeline configuration used by the monitoring pipeline.
 struct PreprocessConfig {
@@ -62,13 +64,13 @@ struct PreprocessConfig {
 
 /// Applies the configured pipeline to a frame (in order: threshold,
 /// center, normalize, downsample) and returns the result.
-ImageF preprocess(const ImageF& img, const PreprocessConfig& config);
-ImageF32 preprocess(const ImageF32& img, const PreprocessConfig& config);
+template <typename T>
+BasicImage<T> preprocess(const BasicImage<T>& img,
+                         const PreprocessConfig& config);
 
 /// Applies `preprocess` to a batch.
-std::vector<ImageF> preprocess_batch(const std::vector<ImageF>& images,
-                                     const PreprocessConfig& config);
-std::vector<ImageF32> preprocess_batch(const std::vector<ImageF32>& images,
-                                       const PreprocessConfig& config);
+template <typename T>
+std::vector<BasicImage<T>> preprocess_batch(
+    const std::vector<BasicImage<T>>& images, const PreprocessConfig& config);
 
 }  // namespace arams::image

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <fstream>
 
+#include "io/payload.hpp"
 #include "util/check.hpp"
 
 namespace arams::io {
@@ -63,6 +64,7 @@ std::vector<image::ImageF> load_frames(const std::string& path) {
   const std::uint64_t count = read_u64(f);
   ARAMS_CHECK(f.good() && h > 0 && w > 0 && count > 0,
               "malformed frame bundle header in " + path);
+  check_payload_fits(f, {h, w, count}, sizeof(double), path);
 
   std::vector<image::ImageF> frames;
   frames.reserve(count);

@@ -1,11 +1,14 @@
 #include "io/npy.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 #include <vector>
 
+#include "io/payload.hpp"
 #include "util/check.hpp"
 
 namespace arams::io {
@@ -59,7 +62,8 @@ void write_header(std::ofstream& f, const char* descr, std::size_t rows,
 }
 
 /// Parsed .npy prolog: shape plus which of the two supported dtypes the
-/// payload carries. The stream is left positioned at the payload.
+/// payload carries. The stream is left positioned at the payload, which is
+/// known to fit in the file.
 struct NpyProlog {
   std::size_t rows = 0;
   std::size_t cols = 0;
@@ -109,75 +113,72 @@ NpyProlog read_prolog(std::ifstream& f, const std::string& path) {
     out.rows = 1;
   }
   ARAMS_CHECK(out.rows > 0 && out.cols > 0, "npy with empty shape: " + path);
+  check_payload_fits(f, {out.rows, out.cols},
+                     out.is_f32 ? sizeof(float) : sizeof(double), path);
   return out;
+}
+
+template <typename T>
+constexpr const char* npy_descr() {
+  return std::is_same_v<T, float> ? "<f4" : "<f8";
+}
+
+template <typename T>
+void read_payload(std::ifstream& f, T* dst, std::size_t n,
+                  const std::string& path) {
+  f.read(reinterpret_cast<char*>(dst),
+         static_cast<std::streamsize>(n * sizeof(T)));
+  ARAMS_CHECK(f.good(), "truncated npy payload in " + path);
+}
+
+template <typename T>
+void save_as(const std::string& path, const linalg::BasicMatrix<T>& m) {
+  ARAMS_CHECK(!m.empty(), "refusing to write an empty matrix");
+  std::ofstream f(path, std::ios::binary);
+  ARAMS_CHECK(f.good(), "cannot open for writing: " + path);
+  write_header(f, npy_descr<T>(), m.rows(), m.cols());
+  f.write(reinterpret_cast<const char*>(m.data()),
+          static_cast<std::streamsize>(m.size() * sizeof(T)));
+  ARAMS_CHECK(f.good(), "write failed: " + path);
+}
+
+/// Loads either dtype into a T matrix: the matching dtype is read in
+/// place, the other one is read into a buffer and converted on the copy.
+template <typename T>
+linalg::BasicMatrix<T> load_as(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  ARAMS_CHECK(f.good(), "cannot open: " + path);
+  const NpyProlog p = read_prolog(f, path);
+
+  linalg::BasicMatrix<T> m(p.rows, p.cols);
+  if (p.is_f32 == std::is_same_v<T, float>) {
+    read_payload(f, m.data(), m.size(), path);
+  } else {
+    using Stored = std::conditional_t<std::is_same_v<T, float>, double, float>;
+    std::vector<Stored> buf(m.size());
+    read_payload(f, buf.data(), buf.size(), path);
+    std::transform(buf.begin(), buf.end(), m.data(),
+                   [](Stored v) { return static_cast<T>(v); });
+  }
+  return m;
 }
 
 }  // namespace
 
 void save_npy(const std::string& path, const linalg::Matrix& m) {
-  ARAMS_CHECK(!m.empty(), "refusing to write an empty matrix");
-  std::ofstream f(path, std::ios::binary);
-  ARAMS_CHECK(f.good(), "cannot open for writing: " + path);
-  write_header(f, "<f8", m.rows(), m.cols());
-  f.write(reinterpret_cast<const char*>(m.data()),
-          static_cast<std::streamsize>(m.size() * sizeof(double)));
-  ARAMS_CHECK(f.good(), "write failed: " + path);
+  save_as(path, m);
 }
 
 void save_npy_f32(const std::string& path, const linalg::MatrixF& m) {
-  ARAMS_CHECK(!m.empty(), "refusing to write an empty matrix");
-  std::ofstream f(path, std::ios::binary);
-  ARAMS_CHECK(f.good(), "cannot open for writing: " + path);
-  write_header(f, "<f4", m.rows(), m.cols());
-  f.write(reinterpret_cast<const char*>(m.data()),
-          static_cast<std::streamsize>(m.size() * sizeof(float)));
-  ARAMS_CHECK(f.good(), "write failed: " + path);
+  save_as(path, m);
 }
 
 linalg::Matrix load_npy(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  ARAMS_CHECK(f.good(), "cannot open: " + path);
-  const NpyProlog p = read_prolog(f, path);
-
-  linalg::Matrix m(p.rows, p.cols);
-  if (p.is_f32) {
-    std::vector<float> buf(p.rows * p.cols);
-    f.read(reinterpret_cast<char*>(buf.data()),
-           static_cast<std::streamsize>(buf.size() * sizeof(float)));
-    ARAMS_CHECK(f.good(), "truncated npy payload in " + path);
-    double* dst = m.data();
-    for (std::size_t i = 0; i < buf.size(); ++i) {
-      dst[i] = static_cast<double>(buf[i]);
-    }
-  } else {
-    f.read(reinterpret_cast<char*>(m.data()),
-           static_cast<std::streamsize>(m.size() * sizeof(double)));
-    ARAMS_CHECK(f.good(), "truncated npy payload in " + path);
-  }
-  return m;
+  return load_as<double>(path);
 }
 
 linalg::MatrixF load_npy_f32(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  ARAMS_CHECK(f.good(), "cannot open: " + path);
-  const NpyProlog p = read_prolog(f, path);
-
-  linalg::MatrixF m(p.rows, p.cols);
-  if (p.is_f32) {
-    f.read(reinterpret_cast<char*>(m.data()),
-           static_cast<std::streamsize>(m.size() * sizeof(float)));
-    ARAMS_CHECK(f.good(), "truncated npy payload in " + path);
-  } else {
-    std::vector<double> buf(p.rows * p.cols);
-    f.read(reinterpret_cast<char*>(buf.data()),
-           static_cast<std::streamsize>(buf.size() * sizeof(double)));
-    ARAMS_CHECK(f.good(), "truncated npy payload in " + path);
-    float* dst = m.data();
-    for (std::size_t i = 0; i < buf.size(); ++i) {
-      dst[i] = static_cast<float>(buf[i]);
-    }
-  }
-  return m;
+  return load_as<float>(path);
 }
 
 }  // namespace arams::io

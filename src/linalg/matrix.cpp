@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 namespace arams::linalg {
 
-Matrix::Matrix(std::initializer_list<std::initializer_list<double>> init) {
+template <typename T>
+BasicMatrix<T>::BasicMatrix(
+    std::initializer_list<std::initializer_list<T>> init) {
   rows_ = init.size();
   cols_ = rows_ == 0 ? 0 : init.begin()->size();
   data_.reserve(rows_ * cols_);
@@ -16,42 +17,52 @@ Matrix::Matrix(std::initializer_list<std::initializer_list<double>> init) {
   }
 }
 
-void Matrix::fill(double v) { std::fill(data_.begin(), data_.end(), v); }
-
-void Matrix::zero_row(std::size_t r) {
-  ARAMS_DCHECK(r < rows_, "row index out of range");
-  std::fill_n(data_.begin() + static_cast<std::ptrdiff_t>(r * cols_), cols_,
-              0.0);
+template <typename T>
+void BasicMatrix<T>::fill(T v) {
+  std::fill(data_.begin(), data_.end(), v);
 }
 
-void Matrix::set_row(std::size_t r, std::span<const double> src) {
+template <typename T>
+void BasicMatrix<T>::zero_row(std::size_t r) {
+  ARAMS_DCHECK(r < rows_, "row index out of range");
+  std::fill_n(data_.begin() + static_cast<std::ptrdiff_t>(r * cols_), cols_,
+              T{0});
+}
+
+template <typename T>
+void BasicMatrix<T>::set_row(std::size_t r, std::span<const T> src) {
   ARAMS_CHECK(src.size() == cols_, "row length mismatch");
   std::copy(src.begin(), src.end(),
             data_.begin() + static_cast<std::ptrdiff_t>(r * cols_));
 }
 
-void Matrix::append_zero_rows(std::size_t count) {
-  data_.resize((rows_ + count) * cols_, 0.0);
+template <typename T>
+void BasicMatrix<T>::append_zero_rows(std::size_t count) {
+  data_.resize((rows_ + count) * cols_, T{0});
   rows_ += count;
 }
 
-void Matrix::reshape(std::size_t rows, std::size_t cols) {
+template <typename T>
+void BasicMatrix<T>::reshape(std::size_t rows, std::size_t cols) {
   data_.resize(rows * cols);
   rows_ = rows;
   cols_ = cols;
 }
 
-Matrix Matrix::slice_rows(std::size_t r0, std::size_t r1) const {
+template <typename T>
+BasicMatrix<T> BasicMatrix<T>::slice_rows(std::size_t r0,
+                                          std::size_t r1) const {
   ARAMS_CHECK(r0 <= r1 && r1 <= rows_, "bad row slice");
-  Matrix out(r1 - r0, cols_);
+  BasicMatrix out(r1 - r0, cols_);
   std::copy(data_.begin() + static_cast<std::ptrdiff_t>(r0 * cols_),
             data_.begin() + static_cast<std::ptrdiff_t>(r1 * cols_),
             out.data_.begin());
   return out;
 }
 
-Matrix Matrix::transposed() const {
-  Matrix out(cols_, rows_);
+template <typename T>
+BasicMatrix<T> BasicMatrix<T>::transposed() const {
+  BasicMatrix out(cols_, rows_);
   // Simple blocked transpose; adequate for the sizes this library moves.
   constexpr std::size_t kBlock = 32;
   for (std::size_t rb = 0; rb < rows_; rb += kBlock) {
@@ -68,118 +79,67 @@ Matrix Matrix::transposed() const {
   return out;
 }
 
-Matrix Matrix::vstack(const Matrix& top, const Matrix& bottom) {
+template <typename T>
+BasicMatrix<T> BasicMatrix<T>::vstack(const BasicMatrix& top,
+                                      const BasicMatrix& bottom) {
   if (top.empty()) return bottom;
   if (bottom.empty()) return top;
   ARAMS_CHECK(top.cols() == bottom.cols(), "vstack column mismatch");
-  Matrix out(top.rows() + bottom.rows(), top.cols());
+  BasicMatrix out(top.rows() + bottom.rows(), top.cols());
   std::copy(top.data_.begin(), top.data_.end(), out.data_.begin());
   std::copy(bottom.data_.begin(), bottom.data_.end(),
             out.data_.begin() + static_cast<std::ptrdiff_t>(top.size()));
   return out;
 }
 
-Matrix Matrix::identity(std::size_t n) {
-  Matrix out(n, n);
-  for (std::size_t i = 0; i < n; ++i) out(i, i) = 1.0;
+template <typename T>
+BasicMatrix<T> BasicMatrix<T>::identity(std::size_t n) {
+  BasicMatrix out(n, n);
+  for (std::size_t i = 0; i < n; ++i) out(i, i) = T{1};
   return out;
 }
 
-double Matrix::max_abs_diff(const Matrix& a, const Matrix& b) {
+template <typename T>
+T BasicMatrix<T>::max_abs_diff(const BasicMatrix& a, const BasicMatrix& b) {
   ARAMS_CHECK(a.rows() == b.rows() && a.cols() == b.cols(),
               "shape mismatch in max_abs_diff");
-  double m = 0.0;
+  T m = T{0};
   for (std::size_t i = 0; i < a.size(); ++i) {
     m = std::max(m, std::abs(a.data_[i] - b.data_[i]));
   }
   return m;
 }
 
-Matrix MatrixView::to_matrix() const {
-  Matrix out(rows_, cols_);
+template <typename T>
+BasicMatrix<T> BasicMatrixView<T>::to_matrix() const {
+  BasicMatrix<T> out(rows_, cols_);
   std::copy(data_, data_ + rows_ * cols_, out.data());
   return out;
 }
 
-MatrixF::MatrixF(std::initializer_list<std::initializer_list<float>> init) {
-  rows_ = init.size();
-  cols_ = rows_ == 0 ? 0 : init.begin()->size();
-  data_.reserve(rows_ * cols_);
-  for (const auto& row : init) {
-    ARAMS_CHECK(row.size() == cols_, "ragged initializer list");
-    data_.insert(data_.end(), row.begin(), row.end());
-  }
-}
+template class BasicMatrix<double>;
+template class BasicMatrix<float>;
+template class BasicMatrixView<double>;
+template class BasicMatrixView<float>;
 
-void MatrixF::fill(float v) { std::fill(data_.begin(), data_.end(), v); }
+namespace {
 
-void MatrixF::zero_row(std::size_t r) {
-  ARAMS_DCHECK(r < rows_, "row index out of range");
-  std::fill_n(data_.begin() + static_cast<std::ptrdiff_t>(r * cols_), cols_,
-              0.0F);
-}
-
-void MatrixF::set_row(std::size_t r, std::span<const float> src) {
-  ARAMS_CHECK(src.size() == cols_, "row length mismatch");
-  std::copy(src.begin(), src.end(),
-            data_.begin() + static_cast<std::ptrdiff_t>(r * cols_));
-}
-
-void MatrixF::reshape(std::size_t rows, std::size_t cols) {
-  data_.resize(rows * cols);
-  rows_ = rows;
-  cols_ = cols;
-}
-
-MatrixF MatrixF::slice_rows(std::size_t r0, std::size_t r1) const {
-  ARAMS_CHECK(r0 <= r1 && r1 <= rows_, "bad row slice");
-  MatrixF out(r1 - r0, cols_);
-  std::copy(data_.begin() + static_cast<std::ptrdiff_t>(r0 * cols_),
-            data_.begin() + static_cast<std::ptrdiff_t>(r1 * cols_),
-            out.data_.begin());
-  return out;
-}
-
-Matrix MatrixF::to_matrix() const {
-  Matrix out;
-  widen(MatrixViewF(*this), out);
-  return out;
-}
-
-MatrixF MatrixF::from_matrix(const Matrix& m) {
-  MatrixF out(m.rows(), m.cols());
-  const double* src = m.data();
-  float* dst = out.data();
-  for (std::size_t i = 0; i < m.size(); ++i) {
-    dst[i] = static_cast<float>(src[i]);
-  }
-  return out;
-}
-
-float MatrixF::max_abs_diff(const MatrixF& a, const MatrixF& b) {
-  ARAMS_CHECK(a.rows() == b.rows() && a.cols() == b.cols(),
-              "shape mismatch in max_abs_diff");
-  float m = 0.0F;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    m = std::max(m, std::abs(a.data_[i] - b.data_[i]));
-  }
-  return m;
-}
-
-Matrix MatrixViewF::to_matrix() const {
-  Matrix out;
-  widen(*this, out);
-  return out;
-}
-
-void widen(MatrixViewF src, Matrix& dst) {
+/// One cast per element into grow-only `dst` — the body of widen/narrow.
+template <typename To, typename From>
+void convert(BasicMatrixView<From> src, BasicMatrix<To>& dst) {
   dst.reshape(src.rows(), src.cols());
-  const float* in = src.data();
-  double* out = dst.data();
+  const From* in = src.data();
+  To* out = dst.data();
   const std::size_t n = src.size();
   for (std::size_t i = 0; i < n; ++i) {
-    out[i] = static_cast<double>(in[i]);
+    out[i] = static_cast<To>(in[i]);
   }
 }
+
+}  // namespace
+
+void widen(MatrixViewF src, Matrix& dst) { convert(src, dst); }
+
+void narrow(MatrixView src, MatrixF& dst) { convert(src, dst); }
 
 }  // namespace arams::linalg

@@ -74,16 +74,14 @@ inline constexpr std::size_t kAnnProj = 14;    ///< rp-tree projection column
 inline constexpr std::size_t kAnnQNorms = 8;   ///< vec slot: query ‖·‖²
 inline constexpr std::size_t kAnnDists = 9;    ///< vec slot: candidate d²
 inline constexpr std::size_t kAnnOrder = 1;    ///< idx slot: candidate indices
-// fp32 ingest lane (core/sketcher.cpp widening shim and native fp32
-// push_batch overrides). Widening an fp32 batch happens while sketch
-// scratch above may be live, so the lane claims fresh ids.
-inline constexpr std::size_t kIngestWiden = 15;  ///< widened fp32 batch
-inline constexpr std::size_t kIngestRow = 10;    ///< vec slot: widened row
-// Sharded ingest + parallel merge (core/sharded.cpp, core/merge.cpp).
-// Each merge group / ingest shard owns its own arena, but the merge stack
-// nests above sigma_vt_svd in the same arena, so it claims a fresh id.
+// fp32 ingest lane (core/sketcher.cpp widening shim). Widening an fp32
+// batch or row happens while sketch scratch above may be live, so the lane
+// claims a fresh id.
+inline constexpr std::size_t kIngestWiden = 15;  ///< widened fp32 batch/row
+// Parallel tree merge (core/merge.cpp). Each merge group owns its own
+// arena, but the merge stack nests above sigma_vt_svd in the same arena,
+// so it claims a fresh id.
 inline constexpr std::size_t kMergeStack = 16;   ///< stacked group sketches
-inline constexpr std::size_t kShardGather = 17;  ///< gathered shard rows
 }  // namespace wslot
 
 class Workspace {

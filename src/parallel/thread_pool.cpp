@@ -146,9 +146,10 @@ void ThreadPool::parallel_for(std::size_t count,
   for (std::size_t i = 0; i < count; ++i) {
     futures.push_back(submit([&fn, i] { fn(i); }));
   }
-  for (auto& f : futures) {
-    f.get();  // propagates the first exception
-  }
+  // Wait for every task before rethrowing: the queued tasks hold `&fn`, a
+  // reference into the caller's frame.
+  for (auto& f : futures) f.wait();
+  for (auto& f : futures) f.get();  // rethrows the first failure
 }
 
 }  // namespace arams::parallel

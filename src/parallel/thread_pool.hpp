@@ -39,7 +39,8 @@ class ThreadPool {
   std::future<void> submit(std::function<void()> task);
 
   /// Runs fn(i) for i in [0, count) across the pool and waits for all.
-  /// Exceptions from tasks are rethrown (first one wins).
+  /// Exceptions from tasks are rethrown (first one wins), after every task
+  /// has finished.
   ///
   /// Re-entrancy: when called from one of this pool's own workers (a shard
   /// task whose inner GEMM dispatches row bands back onto the same pool),

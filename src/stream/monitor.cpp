@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <tuple>
+#include <type_traits>
 
 #include "embed/pca.hpp"
 #include "embed/umap.hpp"
@@ -79,16 +81,7 @@ StreamingMonitor::StreamingMonitor(const MonitorConfig& config)
   ARAMS_CHECK(config.reservoir_size >= 2, "reservoir too small");
   ARAMS_CHECK(config.health_check_every >= 1,
               "health_check_every must be >= 1");
-  const bool f32 = config.pipeline.ingest_precision ==
-                   PipelineConfig::IngestPrecision::kF32;
-  if (f32) {
-    batch_rows_f32_.reserve(config.batch_size);
-  } else {
-    batch_rows_.reserve(config.batch_size);
-  }
-  static obs::Gauge& precision_gauge =
-      obs::metrics().gauge("ingest.precision");
-  precision_gauge.set(f32 ? 32.0 : 64.0);
+  publish_ingest_precision(config.pipeline.ingest_precision);
 
   // Every watchdog transition lands in the flight journal (new state in
   // `detail`, old state in `value`), and a transition *into* CRITICAL
@@ -106,7 +99,17 @@ StreamingMonitor::StreamingMonitor(const MonitorConfig& config)
   });
 }
 
+bool StreamingMonitor::f32_lane() const {
+  return config_.pipeline.ingest_precision ==
+         PipelineConfig::IngestPrecision::kF32;
+}
+
 bool StreamingMonitor::ingest(const ShotEvent& event) {
+  return f32_lane() ? ingest_as<float>(event) : ingest_as<double>(event);
+}
+
+template <typename T>
+bool StreamingMonitor::ingest_as(const ShotEvent& event) {
   Stopwatch timer;
   ++frames_seen_;
 
@@ -146,38 +149,32 @@ bool StreamingMonitor::ingest(const ShotEvent& event) {
     return false;
   }
 
-  std::vector<double> row;
-  if (config_.pipeline.ingest_precision ==
-      PipelineConfig::IngestPrecision::kF32) {
-    // fp32 lane: narrow once (the NaN scan above already ran on the raw
-    // fp64 frame), preprocess at fp32, and queue the float row for the
-    // sketcher. The fp64 `row` below is the reservoir/error-tracker copy —
-    // those feed the fp64 snapshot tail.
-    const image::ImageF32 processed = image::preprocess(
-        image::narrow(event.frame), config_.pipeline.preprocess);
-    if (dim_ == 0) {
-      dim_ = processed.pixel_count();
-    }
-    ARAMS_CHECK(processed.pixel_count() == dim_,
-                "frame shape changed mid-stream");
-    std::vector<float> row32(dim_);
-    processed.to_row(std::span<float>(row32));
-    row.resize(dim_);
-    for (std::size_t i = 0; i < dim_; ++i) {
-      row[i] = static_cast<double>(row32[i]);
-    }
-    batch_rows_f32_.push_back(std::move(row32));
+  // Preprocess at the lane's precision: the fp32 lane narrows once (the
+  // NaN scan above already ran on the raw fp64 frame).
+  image::BasicImage<T> processed;
+  if constexpr (std::is_same_v<T, float>) {
+    processed = image::preprocess(image::narrow(event.frame),
+                                  config_.pipeline.preprocess);
   } else {
-    const image::ImageF processed =
-        image::preprocess(event.frame, config_.pipeline.preprocess);
-    if (dim_ == 0) {
-      dim_ = processed.pixel_count();
-    }
-    ARAMS_CHECK(processed.pixel_count() == dim_,
-                "frame shape changed mid-stream");
-    row.resize(dim_);
-    processed.to_row(row);
+    processed = image::preprocess(event.frame, config_.pipeline.preprocess);
   }
+  if (dim_ == 0) {
+    dim_ = processed.pixel_count();
+  }
+  ARAMS_CHECK(processed.pixel_count() == dim_,
+              "frame shape changed mid-stream");
+  // The row joins the pending batch at the lane's precision; the reservoir
+  // and error tracker keep an fp64 copy — they feed the fp64 snapshot tail.
+  auto& pending = std::get<linalg::BasicMatrix<T>>(pending_);
+  if (pending_rows_ == pending.rows()) {
+    // Grow geometrically up to one batch, so a stream shorter than
+    // batch_size never allocates rows it will not fill.
+    pending.reshape(std::min(config_.batch_size, 2 * pending_rows_ + 1),
+                    dim_);
+  }
+  const std::span<T> slot = pending.row(pending_rows_++);
+  processed.to_row(slot);
+  std::vector<double> row(slot.begin(), slot.end());
 
   obs::flight_recorder().record(obs::FlightCode::kFrameIngested,
                                 event.shot_id);
@@ -186,15 +183,10 @@ bool StreamingMonitor::ingest(const ShotEvent& event) {
   if (reservoir_.size() > config_.reservoir_size) {
     reservoir_.pop_front();
   }
-  if (config_.pipeline.ingest_precision !=
-      PipelineConfig::IngestPrecision::kF32) {
-    batch_rows_.push_back(reservoir_.back().second);
-  }
 
   bool updated = false;
-  if (std::max(batch_rows_.size(), batch_rows_f32_.size()) >=
-      config_.batch_size) {
-    update_sketch();
+  if (pending_rows_ >= config_.batch_size) {
+    update_sketch<T>();
     updated = true;
   }
   meter_.record(1, timer.seconds());
@@ -204,36 +196,24 @@ bool StreamingMonitor::ingest(const ShotEvent& event) {
 }
 
 void StreamingMonitor::flush() {
-  if (!batch_rows_.empty() || !batch_rows_f32_.empty()) {
+  if (pending_rows_ > 0) {
     Stopwatch timer;
-    update_sketch();
+    f32_lane() ? update_sketch<float>() : update_sketch<double>();
     meter_.record(0, timer.seconds());
   }
 }
 
+template <typename T>
 void StreamingMonitor::update_sketch() {
   const obs::ScopedSpan span("monitor.update_sketch");
   Stopwatch timer;
-  std::size_t batch_count = 0;
-  if (!batch_rows_f32_.empty()) {
-    // fp32 lane: the batch reaches the sketcher as float rows; widening
-    // (if the backend needs it) happens inside the Sketcher seam.
-    linalg::MatrixF batch(batch_rows_f32_.size(), dim_);
-    for (std::size_t i = 0; i < batch_rows_f32_.size(); ++i) {
-      batch.set_row(i, batch_rows_f32_[i]);
-    }
-    batch_count = batch.rows();
-    batch_rows_f32_.clear();
-    sketcher_->push_batch(linalg::MatrixViewF(batch));
-  } else {
-    Matrix batch(batch_rows_.size(), dim_);
-    for (std::size_t i = 0; i < batch_rows_.size(); ++i) {
-      batch.set_row(i, batch_rows_[i]);
-    }
-    batch_count = batch.rows();
-    batch_rows_.clear();
-    sketcher_->push_batch(batch);
-  }
+  // The pending rows reach the sketcher at the lane's precision; widening
+  // (if the backend needs it) happens inside the Sketcher seam.
+  auto& batch = std::get<linalg::BasicMatrix<T>>(pending_);
+  batch.reshape(pending_rows_, dim_);  // a flush may leave a partial batch
+  const std::size_t batch_count = pending_rows_;
+  pending_rows_ = 0;
+  sketcher_->push_batch(batch);
   ++batches_;
   const double seconds = timer.seconds();
   static obs::Histogram& batch_latency =
@@ -293,13 +273,7 @@ SnapshotResult StreamingMonitor::snapshot() {
   Stopwatch timer;
   SnapshotResult out;
 
-  Matrix rows(reservoir_.size(), dim_);
-  out.shot_ids.reserve(reservoir_.size());
-  std::size_t r = 0;
-  for (const auto& [shot, row] : reservoir_) {
-    rows.set_row(r++, row);
-    out.shot_ids.push_back(shot);
-  }
+  const Matrix rows = gather_reservoir(out.shot_ids);
 
   const Matrix sketch = sketcher_->sketch();
   ARAMS_CHECK(sketch.rows() > 0, "sketch is empty — ingest more frames");
@@ -313,11 +287,7 @@ SnapshotResult StreamingMonitor::snapshot() {
       std::min(umap_config.n_neighbors, out.latent.rows() - 1);
   out.embedding = embed::umap_embed(out.latent, umap_config, snapshot_ws_);
 
-  cluster_snapshot(out);
-  out.report.set_seconds("snapshot", timer.seconds());
-  obs::flight_recorder().record(obs::FlightCode::kSnapshot, 0,
-                                static_cast<std::uint32_t>(rows.rows()),
-                                out.report.seconds("snapshot"));
+  close_snapshot(out, timer);
 
   // Keep this snapshot as the reference for incremental refreshes, and
   // (re)build the warm index over it — the only full index build until the
@@ -331,6 +301,27 @@ SnapshotResult StreamingMonitor::snapshot() {
   }
   ann_index_->build(reference_latent_, snapshot_ws_);
   return out;
+}
+
+Matrix StreamingMonitor::gather_reservoir(
+    std::vector<std::uint64_t>& shot_ids) const {
+  Matrix rows(reservoir_.size(), dim_);
+  shot_ids.reserve(reservoir_.size());
+  std::size_t r = 0;
+  for (const auto& [shot, row] : reservoir_) {
+    rows.set_row(r++, row);
+    shot_ids.push_back(shot);
+  }
+  return rows;
+}
+
+void StreamingMonitor::close_snapshot(SnapshotResult& out,
+                                      const Stopwatch& timer) {
+  cluster_snapshot(out);
+  out.report.set_seconds("snapshot", timer.seconds());
+  obs::flight_recorder().record(obs::FlightCode::kSnapshot, 0,
+                                static_cast<std::uint32_t>(out.latent.rows()),
+                                out.report.seconds("snapshot"));
 }
 
 void StreamingMonitor::cluster_snapshot(SnapshotResult& out) {
@@ -358,13 +349,7 @@ SnapshotResult StreamingMonitor::snapshot_incremental() {
   SnapshotResult out;
 
   // Project the whole reservoir through the *current* sketch.
-  Matrix rows(reservoir_.size(), dim_);
-  out.shot_ids.reserve(reservoir_.size());
-  std::size_t r = 0;
-  for (const auto& [shot, row] : reservoir_) {
-    rows.set_row(r++, row);
-    out.shot_ids.push_back(shot);
-  }
+  const Matrix rows = gather_reservoir(out.shot_ids);
   const Matrix sketch = sketcher_->sketch();
   const embed::PcaProjector pca(sketch, config_.pipeline.pca_components,
                                 snapshot_ws_);
@@ -426,11 +411,7 @@ SnapshotResult StreamingMonitor::snapshot_incremental() {
       reference_shots_.push_back(out.shot_ids[fresh_rows[i]]);
     }
   }
-  cluster_snapshot(out);
-  out.report.set_seconds("snapshot", timer.seconds());
-  obs::flight_recorder().record(obs::FlightCode::kSnapshot, 0,
-                                static_cast<std::uint32_t>(rows.rows()),
-                                out.report.seconds("snapshot"));
+  close_snapshot(out, timer);
   return out;
 }
 

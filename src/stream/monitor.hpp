@@ -8,6 +8,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <tuple>
 #include <vector>
 
 #include "core/error_tracker.hpp"
@@ -147,7 +148,21 @@ class StreamingMonitor {
   void note_queue_saturation(double fraction);
 
  private:
+  /// True when pipeline.ingest_precision selects the fp32 lane.
+  [[nodiscard]] bool f32_lane() const;
+  /// The one ingest body; T is the lane's pixel type (double or float).
+  template <typename T>
+  bool ingest_as(const ShotEvent& event);
+  /// Pushes the pending batch (T precision) into the sketcher.
+  template <typename T>
   void update_sketch();
+  /// The reservoir as snapshot rows, one per retained shot; appends the
+  /// shots' ids to `shot_ids` in the same order.
+  [[nodiscard]] linalg::Matrix gather_reservoir(
+      std::vector<std::uint64_t>& shot_ids) const;
+  /// Shared snapshot tail: clusters `out`, records its end-to-end seconds
+  /// and journals the snapshot flight event.
+  void close_snapshot(SnapshotResult& out, const Stopwatch& timer);
   /// Non-const: OPTICS draws its distance rows from snapshot_ws_.
   void cluster_snapshot(SnapshotResult& out);
   /// Feeds one HealthSample; `with_numerics` additionally runs the
@@ -166,11 +181,12 @@ class StreamingMonitor {
   std::size_t last_ell_ = 0;       ///< for rank-change flight events
   bool queue_saturated_ = false;   ///< edge trigger for saturation events
   double queue_saturation_ = std::numeric_limits<double>::quiet_NaN();
-  std::vector<std::vector<double>> batch_rows_;
-  /// fp32 ingest lane's pending batch (used instead of batch_rows_ when
-  /// pipeline.ingest_precision is kF32). The reservoir and error tracker
-  /// stay fp64 either way — they feed the fp64 snapshot tail.
-  std::vector<std::vector<float>> batch_rows_f32_;
+  /// Pending batch, grow-only, at the lane's precision (only the lane's
+  /// element of the tuple is used); its first pending_rows_ rows are live.
+  /// The reservoir and error tracker stay fp64 either way — they feed the
+  /// fp64 snapshot tail.
+  std::tuple<linalg::Matrix, linalg::MatrixF> pending_;
+  std::size_t pending_rows_ = 0;
   std::deque<std::pair<std::uint64_t, std::vector<double>>> reservoir_;
   std::size_t dim_ = 0;
   /// Scratch for the whole snapshot path — the PCA rebuild (Gram,

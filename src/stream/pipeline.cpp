@@ -4,6 +4,7 @@
 #include <array>
 #include <span>
 #include <sstream>
+#include <type_traits>
 
 #include "core/merge.hpp"
 #include "embed/pca.hpp"
@@ -33,22 +34,27 @@ obs::SlidingHistogram& stage_window(const char* metric) {
       std::span<const double>(kBounds));
 }
 
-/// Journals one stage_complete flight event (stage id in `detail`, wall
-/// seconds in `value`) — the per-stage breadcrumb a post-mortem tail
-/// shows for the run's final moments.
-void record_stage(obs::FlightStage stage, double seconds) {
+/// Books one finished stage: its trailing window, its StageReport seconds
+/// under `name`, and one stage_complete flight event (stage id in
+/// `detail`, wall seconds in `value`) — the per-stage breadcrumb a
+/// post-mortem tail shows for the run's final moments. Callers look the
+/// window up by its literal metric name so tools/check_metrics_doc.sh
+/// still sees every name.
+void book_stage(obs::SlidingHistogram& window, const char* name,
+                obs::FlightStage stage, double seconds,
+                obs::StageReport& report) {
+  window.record(seconds);
+  report.set_seconds(name, seconds);
   obs::flight_recorder().record(obs::FlightCode::kStageComplete, 0,
                                 static_cast<std::uint32_t>(stage), seconds);
 }
 
-/// Publishes which ingest lane this run used (32 or 64) so dashboards can
-/// correlate throughput shifts with the precision switch.
-void publish_ingest_precision(int bits) {
-  static obs::Gauge& gauge = obs::metrics().gauge("ingest.precision");
-  gauge.set(static_cast<double>(bits));
-}
-
 }  // namespace
+
+void publish_ingest_precision(PipelineConfig::IngestPrecision precision) {
+  static obs::Gauge& gauge = obs::metrics().gauge("ingest.precision");
+  gauge.set(precision == PipelineConfig::IngestPrecision::kF32 ? 32.0 : 64.0);
+}
 
 std::vector<std::string> PipelineConfig::validate() const {
   std::vector<std::string> errors = sketch.validate();
@@ -122,7 +128,7 @@ PipelineResult MonitoringPipeline::analyze(
 
 PipelineResult MonitoringPipeline::analyze(
     const std::vector<image::ImageF32>& frames) const {
-  return analyze_frames_f32(frames, {});
+  return analyze_frames(frames, {});
 }
 
 PipelineResult MonitoringPipeline::analyze_events(
@@ -146,168 +152,133 @@ PipelineResult MonitoringPipeline::analyze_matrix(const Matrix& rows) const {
 PipelineResult MonitoringPipeline::analyze_matrix(
     linalg::MatrixViewF rows) const {
   const obs::ScopedSpan span("pipeline.analyze");
-  return run_stages_f32(rows, {});
+  return run_stages(rows, {});
 }
 
+template <typename T>
 PipelineResult MonitoringPipeline::analyze_frames(
-    const std::vector<image::ImageF>& frames,
+    const std::vector<image::BasicImage<T>>& frames,
     std::vector<std::uint64_t> shot_ids) const {
   ARAMS_CHECK(!frames.empty(), "no frames to analyze");
-  if (config_.ingest_precision == PipelineConfig::IngestPrecision::kF32) {
-    // Narrow at the door: one cast pass over the raw pixels, then every
-    // downstream ingest step moves half the bytes.
-    std::vector<image::ImageF32> narrowed;
-    narrowed.reserve(frames.size());
-    for (const auto& frame : frames) {
-      narrowed.push_back(image::narrow(frame));
+  if constexpr (std::is_same_v<T, double>) {
+    if (config_.ingest_precision == PipelineConfig::IngestPrecision::kF32) {
+      // Narrow at the door: one cast pass over the raw pixels, then every
+      // downstream ingest step moves half the bytes.
+      std::vector<image::ImageF32> narrowed;
+      narrowed.reserve(frames.size());
+      for (const auto& frame : frames) {
+        narrowed.push_back(image::narrow(frame));
+      }
+      return analyze_frames(narrowed, std::move(shot_ids));
     }
-    return analyze_frames_f32(narrowed, std::move(shot_ids));
   }
   const obs::ScopedSpan span("pipeline.analyze");
   Stopwatch timer;
-  Matrix rows;
+  linalg::BasicMatrix<T> rows;
   {
-    // --- stage 1: per-frame preprocessing ---
+    // --- stage 1: per-frame preprocessing at the lane's precision (fp32
+    // kernels reduce in double, NaN guards identical to the fp64 lane) ---
     const obs::ScopedSpan stage_span("pipeline.preprocess");
-    const std::vector<image::ImageF> processed =
-        image::preprocess_batch(frames, config_.preprocess);
-    rows = image::images_to_matrix(processed);
+    rows = image::images_to_matrix(
+        image::preprocess_batch(frames, config_.preprocess));
   }
-  const double pre = timer.seconds();
-  stage_window("pipeline.preprocess_seconds_window").record(pre);
-  record_stage(obs::FlightStage::kPreprocess, pre);
-  PipelineResult result = run_stages(rows, std::move(shot_ids));
-  result.report.set_seconds("preprocess", pre);
-  return result;
-}
-
-PipelineResult MonitoringPipeline::analyze_frames_f32(
-    const std::vector<image::ImageF32>& frames,
-    std::vector<std::uint64_t> shot_ids) const {
-  ARAMS_CHECK(!frames.empty(), "no frames to analyze");
-  const obs::ScopedSpan span("pipeline.analyze");
-  Stopwatch timer;
-  linalg::MatrixF rows;
-  {
-    // --- stage 1: per-frame preprocessing, fp32 kernels (reductions in
-    // double, NaN guards identical to the fp64 lane) ---
-    const obs::ScopedSpan stage_span("pipeline.preprocess");
-    const std::vector<image::ImageF32> processed =
-        image::preprocess_batch(frames, config_.preprocess);
-    rows = image::images_to_matrix(processed);
-  }
-  const double pre = timer.seconds();
-  stage_window("pipeline.preprocess_seconds_window").record(pre);
-  record_stage(obs::FlightStage::kPreprocess, pre);
-  PipelineResult result = run_stages_f32(rows, std::move(shot_ids));
-  result.report.set_seconds("preprocess", pre);
-  return result;
-}
-
-PipelineResult MonitoringPipeline::run_stages(
-    const Matrix& rows, std::vector<std::uint64_t> shot_ids) const {
-  ARAMS_CHECK(rows.rows() >= 2, "need at least two rows");
-  ARAMS_CHECK(shot_ids.empty() || shot_ids.size() == rows.rows(),
-              "shot id count does not match row count");
-  PipelineResult result;
-  result.shot_ids = std::move(shot_ids);
-  publish_ingest_precision(64);
-  Stopwatch timer;
-
-  // --- stage 2: sharded ARAMS sketch, tree-merged; or any other
-  // factory-registered backend as a single streaming instance ---
-  if (config_.sketcher != "arams" || config_.shards > 1) {
-    // Non-ARAMS backends run one streaming instance over all rows; with
-    // shards > 1 the factory wraps any backend (arams included) in a
-    // ShardedSketcher — concurrent round-robin ingest on the shared pool,
-    // pool-executed tree merge at sketch time.
-    const obs::ScopedSpan stage_span("pipeline.sketch");
-    const std::unique_ptr<core::Sketcher> sketcher =
-        core::make_sketcher(config_.sketcher_config());
-    sketcher->push_batch(rows);
-    result.sketch = sketcher->sketch();
-    result.final_ell = sketcher->current_ell();
-    sketcher->report(result.report);
+  obs::StageReport report;
+  book_stage(stage_window("pipeline.preprocess_seconds_window"), "preprocess",
+             obs::FlightStage::kPreprocess, timer.seconds(), report);
+  if constexpr (std::is_same_v<T, float>) {
+    return run_stages(linalg::MatrixViewF(rows), std::move(shot_ids),
+                      std::move(report));
   } else {
-    const obs::ScopedSpan stage_span("pipeline.sketch");
-    const std::size_t n = rows.rows();
-    const std::size_t cores = std::min<std::size_t>(config_.num_cores, n);
-    std::vector<Matrix> sketches;
-    sketches.reserve(cores);
-    std::size_t final_ell = config_.sketch.ell;
-    core::SketchStats sketch_stats;
-    for (std::size_t c = 0; c < cores; ++c) {
-      const std::size_t r0 = c * n / cores;
-      const std::size_t r1 = (c + 1) * n / cores;
-      if (r1 <= r0) continue;
-      core::AramsConfig shard_config = config_.sketch;
-      shard_config.seed = config_.sketch.seed + c;
-      core::Arams sketcher(shard_config);
-      core::AramsResult shard =
-          sketcher.sketch_matrix(rows.slice_rows(r0, r1));
-      if (shard.sketch.empty()) continue;
-      sketch_stats += core::sketch_stats_from_report(shard.report);
-      final_ell = std::max(final_ell, shard.final_ell);
-      sketches.push_back(std::move(shard.sketch));
-    }
-    core::append_to_report(sketch_stats, result.report);
-    result.final_ell = final_ell;
-    core::MergeStats merge_stats;
-    result.sketch = (sketches.size() == 1)
-                        ? std::move(sketches.front())
-                        : core::tree_merge(std::move(sketches), final_ell, 2,
-                                           &merge_stats);
-    core::append_to_report(merge_stats, result.report);
+    return run_stages(rows, std::move(shot_ids), std::move(report));
   }
-  {
-    const double sketch_seconds = timer.lap();
-    stage_window("pipeline.sketch_seconds_window").record(sketch_seconds);
-    result.report.set_seconds("sketch", sketch_seconds);
-    record_stage(obs::FlightStage::kSketch, sketch_seconds);
-  }
-
-  run_tail_stages(rows, result, timer);
-  return result;
 }
 
-PipelineResult MonitoringPipeline::run_stages_f32(
-    linalg::MatrixViewF rows, std::vector<std::uint64_t> shot_ids) const {
+template <typename Rows>
+PipelineResult MonitoringPipeline::run_stages(
+    const Rows& rows, std::vector<std::uint64_t> shot_ids,
+    obs::StageReport report) const {
+  using T = typename Rows::value_type;
+  constexpr bool kF32 = std::is_same_v<T, float>;
   ARAMS_CHECK(rows.rows() >= 2, "need at least two rows");
   ARAMS_CHECK(shot_ids.empty() || shot_ids.size() == rows.rows(),
               "shot id count does not match row count");
   PipelineResult result;
   result.shot_ids = std::move(shot_ids);
-  publish_ingest_precision(32);
+  result.report = std::move(report);
+  publish_ingest_precision(kF32 ? PipelineConfig::IngestPrecision::kF32
+                                : PipelineConfig::IngestPrecision::kF64);
   Stopwatch timer;
 
-  // --- stage 2: one streaming sketcher over the float rows. Every
-  // backend accepts them through the Sketcher fp32 seam (arams, fd,
-  // gaussian and countsketch natively; the rest via the widening shim).
-  // The fp64 lane's sharded tree-merge is not replicated here — the whole
-  // point of this lane is to keep the frames narrow until the sketch core.
+  // --- stage 2: range-partitioned ARAMS, tree-merged; or any other
+  // factory-registered backend as a single streaming instance. The choice
+  // depends on the backend and `shards`, never on the lane: both
+  // precisions run the same topology. ---
   {
     const obs::ScopedSpan stage_span("pipeline.sketch");
-    const std::unique_ptr<core::Sketcher> sketcher =
-        core::make_sketcher(config_.sketcher_config());
-    sketcher->push_batch(rows);
-    result.sketch = sketcher->sketch();
-    result.final_ell = sketcher->current_ell();
-    sketcher->report(result.report);
+    if (config_.sketcher != "arams" || config_.shards > 1) {
+      // Non-ARAMS backends run one streaming instance over all rows; with
+      // shards > 1 the factory wraps any backend (arams included) in a
+      // ShardedSketcher — concurrent round-robin ingest on the shared
+      // pool, pool-executed tree merge at sketch time. fp32 rows enter
+      // through the Sketcher fp32 seam.
+      const std::unique_ptr<core::Sketcher> sketcher =
+          core::make_sketcher(config_.sketcher_config());
+      sketcher->push_batch(rows);
+      result.sketch = sketcher->sketch();
+      result.final_ell = sketcher->current_ell();
+      sketcher->report(result.report);
+    } else {
+      // num_cores range-partitioned Arams instances (seed + c) over row
+      // views, run serially, then tree-merged at the largest final ℓ.
+      const linalg::BasicMatrixView<T> all(rows);
+      const std::size_t n = all.rows();
+      const std::size_t cores = std::min<std::size_t>(config_.num_cores, n);
+      std::vector<Matrix> sketches;
+      sketches.reserve(cores);
+      std::size_t final_ell = config_.sketch.ell;
+      core::SketchStats sketch_stats;
+      for (std::size_t c = 0; c < cores; ++c) {
+        const std::size_t r0 = c * n / cores;
+        const std::size_t r1 = (c + 1) * n / cores;
+        if (r1 <= r0) continue;
+        core::AramsConfig shard_config = config_.sketch;
+        shard_config.seed = config_.sketch.seed + c;
+        core::Arams sketcher(shard_config);
+        core::AramsResult shard = sketcher.sketch_matrix(
+            linalg::BasicMatrixView<T>::rows_of(all, r0, r1));
+        if (shard.sketch.empty()) continue;
+        sketch_stats += core::sketch_stats_from_report(shard.report);
+        final_ell = std::max(final_ell, shard.final_ell);
+        sketches.push_back(std::move(shard.sketch));
+      }
+      core::append_to_report(sketch_stats, result.report);
+      result.final_ell = final_ell;
+      core::MergeStats merge_stats;
+      result.sketch = (sketches.size() == 1)
+                          ? std::move(sketches.front())
+                          : core::tree_merge(std::move(sketches), final_ell,
+                                             2, &merge_stats);
+      core::append_to_report(merge_stats, result.report);
+      if constexpr (kF32) {
+        result.report.add_counter("rows_ingested_f32",
+                                  static_cast<long>(rows.rows()));
+      }
+    }
   }
-  {
-    const double sketch_seconds = timer.lap();
-    stage_window("pipeline.sketch_seconds_window").record(sketch_seconds);
-    result.report.set_seconds("sketch", sketch_seconds);
-    record_stage(obs::FlightStage::kSketch, sketch_seconds);
-  }
+  book_stage(stage_window("pipeline.sketch_seconds_window"), "sketch",
+             obs::FlightStage::kSketch, timer.lap(), result.report);
 
-  // The analysis tail (PCA projection of the raw rows, UMAP, clustering)
-  // is fp64; widen the rows exactly once, charging it to the report so
-  // the lane's conversion cost stays visible.
-  Matrix wide;
-  linalg::widen(rows, wide);
-  result.report.add_seconds("ingest_widen", timer.lap());
-  run_tail_stages(wide, result, timer);
+  if constexpr (kF32) {
+    // The analysis tail (PCA projection of the raw rows, UMAP,
+    // clustering) is fp64; widen the rows exactly once, charging it to
+    // the report so the lane's conversion cost stays visible.
+    Matrix wide;
+    linalg::widen(rows, wide);
+    result.report.add_seconds("ingest_widen", timer.lap());
+    run_tail_stages(wide, result, timer);
+  } else {
+    run_tail_stages(rows, result, timer);
+  }
   return result;
 }
 
@@ -320,12 +291,8 @@ void MonitoringPipeline::run_tail_stages(const Matrix& rows,
     const embed::PcaProjector pca(result.sketch, config_.pca_components);
     result.latent = pca.project(rows);
   }
-  {
-    const double project_seconds = timer.lap();
-    stage_window("pipeline.project_seconds_window").record(project_seconds);
-    result.report.set_seconds("project", project_seconds);
-    record_stage(obs::FlightStage::kProject, project_seconds);
-  }
+  book_stage(stage_window("pipeline.project_seconds_window"), "project",
+             obs::FlightStage::kProject, timer.lap(), result.report);
 
   // --- stage 4: UMAP to 2-D ---
   {
@@ -335,12 +302,8 @@ void MonitoringPipeline::run_tail_stages(const Matrix& rows,
         std::min(umap_config.n_neighbors, result.latent.rows() - 1);
     result.embedding = embed::umap_embed(result.latent, umap_config);
   }
-  {
-    const double embed_seconds = timer.lap();
-    stage_window("pipeline.embed_seconds_window").record(embed_seconds);
-    result.report.set_seconds("embed", embed_seconds);
-    record_stage(obs::FlightStage::kEmbed, embed_seconds);
-  }
+  book_stage(stage_window("pipeline.embed_seconds_window"), "embed",
+             obs::FlightStage::kEmbed, timer.lap(), result.report);
 
   // --- stage 5: density clustering + ABOD outlier scores ---
   {
@@ -380,12 +343,8 @@ void MonitoringPipeline::run_tail_stages(const Matrix& rows,
           result.embedding, cluster::AbodConfig{config_.abod_k});
     }
   }
-  {
-    const double cluster_seconds = timer.lap();
-    stage_window("pipeline.cluster_seconds_window").record(cluster_seconds);
-    result.report.set_seconds("cluster", cluster_seconds);
-    record_stage(obs::FlightStage::kCluster, cluster_seconds);
-  }
+  book_stage(stage_window("pipeline.cluster_seconds_window"), "cluster",
+             obs::FlightStage::kCluster, timer.lap(), result.report);
 }
 
 }  // namespace arams::stream

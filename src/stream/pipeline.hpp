@@ -29,31 +29,32 @@ struct PipelineConfig {
   image::PreprocessConfig preprocess;
   core::AramsConfig sketch;
   /// Sketching backend by factory name (core::make_sketcher). "arams" (the
-  /// default) runs the paper's sharded + tree-merged path and consumes the
-  /// full `sketch` config; every other registered backend ("fd", "isvd",
-  /// "gaussian", "countsketch", "normsample", "rangefinder") runs a single
-  /// streaming instance over all rows, taking ell/seed from `sketch`.
+  /// default) runs the paper's range-partitioned + tree-merged path and
+  /// consumes the full `sketch` config; every other registered backend
+  /// ("fd", "isvd", "gaussian", "countsketch", "normsample",
+  /// "rangefinder") runs a single streaming instance over all rows, taking
+  /// ell/seed from `sketch`.
   std::string sketcher = "arams";
   /// Concurrent in-process ingest shards for the factory sketcher path
   /// (core::ShardedSketcher on the shared pool, pool-executed tree merge
   /// at sketch time). 1 (default) keeps the classic single-instance /
   /// range-partitioned behavior bitwise unchanged; > 1 routes stage 2 through
   /// "sharded:<sketcher>". Orthogonal to `num_cores`, which drives the
-  /// legacy arams-only range-partitioned shard path.
+  /// arams-only range-partitioned path.
   std::size_t shards = 1;
   /// Ingest lane precision. kF64 (default) is the bitwise-unchanged
   /// classic path. kF32 narrows frames at the door, preprocesses at fp32,
-  /// and feeds the sketcher through its fp32 entry point (native
-  /// mixed-precision for arams/fd/gaussian/countsketch, widening shim for
-  /// the rest) — halving ingest memory traffic while every accumulation
-  /// stays fp64. The fp32 lane runs one streaming sketcher instance
-  /// (`num_cores` is ignored; the legacy arams tree-merge is an fp64-batch
-  /// construct), but `shards` still applies: the sharded wrapper gathers
-  /// and fans out fp32 rows natively.
+  /// and feeds stage 2 fp32 rows (native mixed-precision for
+  /// arams/fd/gaussian/countsketch, widening shim for the rest) — halving
+  /// ingest memory traffic while every accumulation stays fp64. The lane
+  /// changes precision only: stage 2 runs the same topology on both lanes
+  /// (`num_cores` range partitions for arams, `shards` for the factory
+  /// path).
   enum class IngestPrecision { kF64, kF32 };
   IngestPrecision ingest_precision = IngestPrecision::kF64;
-  /// Range-partitioned ARAMS shards (seed + c each), sketched serially and
-  /// tree-merged; the default fp64 arams path with shards == 1.
+  /// Range-partitioned ARAMS instances (seed + c each), sketched serially
+  /// over row views and tree-merged; the default arams path with
+  /// shards == 1, on either ingest lane.
   std::size_t num_cores = 4;
   std::size_t pca_components = 15;   ///< latent dimension fed to UMAP
   embed::UmapConfig umap;
@@ -133,31 +134,32 @@ class MonitoringPipeline {
   [[nodiscard]] const PipelineConfig& config() const { return config_; }
 
  private:
-  /// The fp64 entry point: stages 2–5 over pre-flattened rows, tagging the
-  /// result with the optional shot ids.
-  PipelineResult run_stages(const linalg::Matrix& rows,
-                            std::vector<std::uint64_t> shot_ids) const;
+  /// Stage 1 + run_stages over frames of either pixel type (fp64 frames
+  /// under kF32 are narrowed at the door first).
+  template <typename T>
+  PipelineResult analyze_frames(
+      const std::vector<image::BasicImage<T>>& frames,
+      std::vector<std::uint64_t> shot_ids) const;
 
-  /// The fp32 lane twin: stage 2 consumes the float rows through
-  /// Sketcher's fp32 seam, then the rows are widened once for the shared
-  /// fp64 tail (PCA reads the raw rows).
-  PipelineResult run_stages_f32(linalg::MatrixViewF rows,
-                                std::vector<std::uint64_t> shot_ids) const;
+  /// Stages 2–5 over pre-flattened rows of either lane. `Rows` is a type
+  /// the Sketcher seam takes: Matrix (fp64) or MatrixViewF (fp32). Stage 2
+  /// consumes the rows at their own precision; the fp64 tail sees fp32
+  /// rows widened once. `report` carries the stage-1 entry, if any.
+  template <typename Rows>
+  PipelineResult run_stages(const Rows& rows,
+                            std::vector<std::uint64_t> shot_ids,
+                            obs::StageReport report = {}) const;
 
   /// Stages 3–5 (project / embed / cluster), shared by both lanes.
   void run_tail_stages(const linalg::Matrix& rows, PipelineResult& result,
                        Stopwatch& timer) const;
 
-  /// Stage 1 + run_stages — shared by the two frame-based adapters.
-  PipelineResult analyze_frames(const std::vector<image::ImageF>& frames,
-                                std::vector<std::uint64_t> shot_ids) const;
-
-  /// fp32 stage 1 + run_stages_f32.
-  PipelineResult analyze_frames_f32(
-      const std::vector<image::ImageF32>& frames,
-      std::vector<std::uint64_t> shot_ids) const;
-
   PipelineConfig config_;
 };
+
+/// Publishes the "ingest.precision" gauge (32 or 64) — the one place both
+/// facades (MonitoringPipeline, StreamingMonitor) set it, so dashboards can
+/// correlate throughput shifts with the precision switch.
+void publish_ingest_precision(PipelineConfig::IngestPrecision precision);
 
 }  // namespace arams::stream

@@ -310,7 +310,17 @@ TEST(Blas, MatmulAssociativityProperty) {
 
 // ------------------------------------------ mixed-precision (fp32) lane
 
-MatrixF narrow_matrix(const Matrix& m) { return MatrixF::from_matrix(m); }
+MatrixF narrow_matrix(const Matrix& m) {
+  MatrixF out;
+  narrow(m, out);
+  return out;
+}
+
+Matrix widened(const MatrixF& m) {
+  Matrix out;
+  widen(m, out);
+  return out;
+}
 
 TEST(BlasMixed, F32DotAndNormsTrackF64) {
   // The fp32 overloads accumulate in double but in a multi-accumulator
@@ -319,12 +329,12 @@ TEST(BlasMixed, F32DotAndNormsTrackF64) {
   Rng rng(41);
   const Matrix wide = random_matrix(2, 501, rng);  // odd length: tail path
   const MatrixF narrow = narrow_matrix(wide);
-  const Matrix widened = narrow.to_matrix();
+  const Matrix wide_back = widened(narrow);
   EXPECT_NEAR(dot(narrow.row(0), narrow.row(1)),
-              dot(widened.row(0), widened.row(1)), 1e-10);
-  EXPECT_NEAR(norm2_squared(narrow.row(0)), norm2_squared(widened.row(0)),
+              dot(wide_back.row(0), wide_back.row(1)), 1e-10);
+  EXPECT_NEAR(norm2_squared(narrow.row(0)), norm2_squared(wide_back.row(0)),
               1e-10);
-  EXPECT_NEAR(norm2(narrow.row(0)), norm2(widened.row(0)), 1e-12);
+  EXPECT_NEAR(norm2(narrow.row(0)), norm2(wide_back.row(0)), 1e-12);
 }
 
 TEST(BlasMixed, AxpyWidensExactly) {
@@ -347,8 +357,8 @@ TEST_P(BlasMixedGemm, MixedTnMatchesWidenedBitwise) {
   Rng rng(43);
   const MatrixF a = narrow_matrix(random_matrix(n + 3, n, rng));
   const MatrixF b = narrow_matrix(random_matrix(n + 3, n + 1, rng));
-  const Matrix a64 = a.to_matrix();
-  const Matrix b64 = b.to_matrix();
+  const Matrix a64 = widened(a);
+  const Matrix b64 = widened(b);
 
   // Aᵀ(fp64)·B(fp32)
   const Matrix mixed = matmul_tn(MatrixView(a64), MatrixViewF(b));
@@ -363,7 +373,7 @@ TEST_P(BlasMixedGemm, MixedTnMatchesWidenedBitwise) {
   // A(fp32)·B(fp32) via the plain product
   const MatrixF bt = narrow_matrix(random_matrix(n, n + 1, rng));
   const Matrix prod = matmul(MatrixViewF(a), MatrixViewF(bt));
-  EXPECT_EQ(Matrix::max_abs_diff(prod, matmul(a64, bt.to_matrix())), 0.0)
+  EXPECT_EQ(Matrix::max_abs_diff(prod, matmul(a64, widened(bt))), 0.0)
       << "n=" << n;
 }
 
@@ -378,7 +388,7 @@ TEST(BlasMixed, OutParameterReusesStorage) {
   matmul_tn(MatrixViewF(a), MatrixViewF(b), out);
   EXPECT_EQ(out.rows(), 12u);
   EXPECT_EQ(out.cols(), 9u);
-  EXPECT_EQ(Matrix::max_abs_diff(out, matmul_tn(a.to_matrix(), b.to_matrix())),
+  EXPECT_EQ(Matrix::max_abs_diff(out, matmul_tn(widened(a), widened(b))),
             0.0);
 }
 

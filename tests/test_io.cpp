@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 
@@ -182,6 +183,74 @@ TEST(Npy, RejectsTruncatedPayload) {
 
 TEST(Npy, EmptyMatrixRefused) {
   EXPECT_THROW(save_npy("/tmp/x.npy", Matrix()), CheckError);
+}
+
+/// Hand-writes a '<f8' npy whose header claims `shape` (a python tuple
+/// literal) followed by `payload_bytes` zero bytes.
+void write_npy_claiming(const std::string& path, const std::string& shape,
+                        std::size_t payload_bytes) {
+  std::ofstream f(path, std::ios::binary);
+  std::string header =
+      "{'descr': '<f8', 'fortran_order': False, 'shape': " + shape + ", }";
+  const std::size_t total = ((10 + header.size() + 1 + 63) / 64) * 64;
+  header.resize(total - 10 - 1, ' ');
+  header += '\n';
+  f << "\x93NUMPY";
+  f.put('\x01');
+  f.put('\x00');
+  f.put(static_cast<char>(header.size() & 0xff));
+  f.put(static_cast<char>(header.size() >> 8));
+  f << header << std::string(payload_bytes, '\0');
+}
+
+TEST(Npy, RejectsShapeWhoseElementCountOverflows) {
+  // 2^33 · 2^31 = 2^64 wraps to 0 elements in size_t arithmetic.
+  const std::string path = "/tmp/arams_overflow_shape.npy";
+  write_npy_claiming(path, "(8589934592, 2147483648)", 64);
+  EXPECT_THROW(load_npy(path), CheckError);
+  EXPECT_THROW(load_npy_f32(path), CheckError);
+  std::remove(path.c_str());
+}
+
+TEST(Npy, RejectsShapeLargerThanThePayloadBeforeAllocating) {
+  // 1.6e13 elements promised, 64 bytes present: must fail on the size
+  // check, not with bad_alloc from the 128 TB allocation.
+  const std::string path = "/tmp/arams_huge_shape.npy";
+  write_npy_claiming(path, "(4000000, 4000000)", 64);
+  EXPECT_THROW(load_npy(path), CheckError);
+  EXPECT_THROW(load_npy_f32(path), CheckError);
+  std::remove(path.c_str());
+}
+
+/// Hand-writes a frame bundle header {h, w, count} followed by
+/// `payload_bytes` zero bytes.
+void write_frames_claiming(const std::string& path, std::uint64_t h,
+                           std::uint64_t w, std::uint64_t count,
+                           std::size_t payload_bytes) {
+  std::ofstream f(path, std::ios::binary);
+  f << "ARAMSFR1";
+  for (const std::uint64_t v : {h, w, count}) {
+    for (int i = 0; i < 8; ++i) f.put(static_cast<char>((v >> (8 * i)) & 0xff));
+  }
+  f << std::string(payload_bytes, '\0');
+}
+
+TEST(Frames, RejectsFrameShapeWhosePixelCountOverflows) {
+  // h·w = 2^33 · 2^31 wraps to 0 pixels per frame.
+  const std::string path = "/tmp/arams_overflow_shape.frames";
+  write_frames_claiming(path, std::uint64_t{1} << 33, std::uint64_t{1} << 31, 1,
+                        64);
+  EXPECT_THROW(load_frames(path), CheckError);
+  std::remove(path.c_str());
+}
+
+TEST(Frames, RejectsFrameCountLargerThanThePayload) {
+  // 2^62 frames promised: must fail on the size check, not with
+  // length_error from reserving the frame vector.
+  const std::string path = "/tmp/arams_huge_count.frames";
+  write_frames_claiming(path, 2, 2, std::uint64_t{1} << 62, 64);
+  EXPECT_THROW(load_frames(path), CheckError);
+  std::remove(path.c_str());
 }
 
 TEST(Frames, RoundTrip) {

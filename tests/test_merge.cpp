@@ -253,6 +253,25 @@ TEST(Merge, ParallelTreeKeepsTreeAccountingAndMeasuresWall) {
   EXPECT_GT(pooled.critical_path_seconds_measured, 0.0);
 }
 
+TEST(Merge, PooledLevelRethrowsOnlyAfterEveryGroupFinished) {
+  // Both level-0 groups fail their width check on the pool. The caller
+  // must wait for every queued group (they reference the caller's frame)
+  // before rethrowing, and the pool stays usable afterwards.
+  Rng rng(5);
+  std::vector<Matrix> bad;
+  for (const std::size_t cols : {8, 9, 8, 9}) {
+    bad.push_back(random_matrix(4, cols, rng));
+  }
+  parallel::ThreadPool pool(2);
+  EXPECT_THROW(tree_merge(bad, 4, 2, nullptr, &pool), CheckError);
+
+  std::vector<Matrix> good;
+  for (int i = 0; i < 4; ++i) good.push_back(random_matrix(4, 8, rng));
+  EXPECT_EQ(Matrix::max_abs_diff(tree_merge(good, 4, 2, nullptr, &pool),
+                                 tree_merge(good, 4)),
+            0.0);
+}
+
 TEST(Merge, StatsRoundTripThroughStageReport) {
   Rng rng(14);
   std::vector<Matrix> sketches;

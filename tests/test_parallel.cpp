@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <stdexcept>
+#include <thread>
 
 #include "core/fd.hpp"
 #include "core/merge.hpp"
@@ -48,6 +50,25 @@ TEST(ThreadPool, PropagatesExceptions) {
                           if (i == 2) throw std::runtime_error("task failed");
                         }),
       std::runtime_error);
+}
+
+TEST(ThreadPool, ParallelForRethrowsOnlyAfterEveryTaskFinished) {
+  // Task 0 fails at once while task 1 is still running; the queued tasks
+  // reference the caller's fn, so parallel_for must wait for task 1 before
+  // it rethrows.
+  ThreadPool pool(2);
+  std::atomic<bool> slow_done{false};
+  EXPECT_THROW(pool.parallel_for(2,
+                                 [&slow_done](std::size_t i) {
+                                   if (i == 0) {
+                                     throw std::runtime_error("task failed");
+                                   }
+                                   std::this_thread::sleep_for(
+                                       std::chrono::milliseconds(50));
+                                   slow_done = true;
+                                 }),
+               std::runtime_error);
+  EXPECT_TRUE(slow_done.load());
 }
 
 TEST(ThreadPool, DefaultSizeIsAtLeastOne) {

@@ -280,6 +280,39 @@ TEST(Pipeline, DefaultBatchSketchIsRangePartitionPlusTreeMerge) {
   EXPECT_EQ(result.report.counter("merge_ops"), 3);
 }
 
+TEST(Pipeline, F32LaneRunsTheSameRangePartition) {
+  // Default arams over num_cores = 4 with sampling off: the fp32 lane
+  // range-partitions and tree-merges exactly like the fp64 lane, and since
+  // fp32 rows widen exactly at the FD boundary the two sketches agree
+  // bitwise.
+  linalg::MatrixF rows32(400, 40);
+  Rng rng(37);
+  std::vector<double> scratch(rows32.cols());
+  for (std::size_t i = 0; i < rows32.rows(); ++i) {
+    rng.fill_normal(scratch);
+    std::transform(scratch.begin(), scratch.end(), rows32.row(i).begin(),
+                   [](double v) { return static_cast<float>(v); });
+  }
+  linalg::Matrix rows64;
+  linalg::widen(rows32, rows64);
+
+  PipelineConfig config = fast_pipeline();
+  config.sketch = core::AramsConfig{};
+  config.sketch.use_sampling = false;
+  config.num_cores = 4;
+  const MonitoringPipeline pipeline(config);
+  const PipelineResult r32 =
+      pipeline.analyze_matrix(linalg::MatrixViewF(rows32));
+  const PipelineResult r64 = pipeline.analyze_matrix(rows64);
+  EXPECT_EQ(r32.report.counter("merge_ops"), 3);
+  EXPECT_EQ(r64.report.counter("merge_ops"), 3);
+  EXPECT_EQ(r32.report.counter("rows_ingested_f32"), 400);
+  EXPECT_EQ(r32.final_ell, r64.final_ell);
+  ASSERT_EQ(r32.sketch.rows(), r64.sketch.rows());
+  ASSERT_EQ(r32.sketch.cols(), r64.sketch.cols());
+  EXPECT_EQ(linalg::Matrix::max_abs_diff(r32.sketch, r64.sketch), 0.0);
+}
+
 TEST(Pipeline, F32FramesRunEndToEnd) {
   // The mixed-precision ingest lane through the frame entry point: fp32
   // frames preprocess in fp32 and enter the sketcher through its fp32
@@ -317,9 +350,10 @@ TEST(Pipeline, IngestPrecisionF32NarrowsAtTheDoor) {
   frames.reserve(events.size());
   for (const auto& e : events) frames.push_back(e.frame);
 
-  // Pin the backend to fd so both lanes run the same single-sketcher
-  // algorithm: with arams the fp64 lane shards + tree-merges and draws
-  // different sampling decisions, a structural (not precision) difference.
+  // Both lanes run the same stage-2 topology for any backend. Pin fd so
+  // the comparison isolates the rows' precision: arams's fp32 priority
+  // sampler reduces row norms in a different (multi-accumulator) order, so
+  // its rescaled survivors agree with the fp64 lane's only to rounding.
   PipelineConfig f64_config = fast_pipeline();
   f64_config.sketcher = "fd";
   PipelineConfig f32_config = f64_config;

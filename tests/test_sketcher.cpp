@@ -326,6 +326,27 @@ TEST_P(SketcherConformance, F32IngestMatchesWidenedIngestBitwise) {
   EXPECT_EQ(f32->stats().rows_processed, f64->stats().rows_processed);
 }
 
+TEST_P(SketcherConformance, F32RowAppendMatchesWidenedRowAppendBitwise) {
+  // The per-row fp32 entry point: the default shim widens each row through
+  // the same scratch as push_batch; fd overrides it natively. Either way
+  // the sketch equals appending the widened rows.
+  const linalg::MatrixF a32 = random_matrix_f32(40, 12, 16);
+  Matrix a64;
+  linalg::widen(linalg::MatrixViewF(a32), a64);
+  const auto f32 = make_sketcher(conformance_config(GetParam(), 6, 5));
+  const auto f64 = make_sketcher(conformance_config(GetParam(), 6, 5));
+  for (std::size_t r = 0; r < a32.rows(); ++r) {
+    f32->append(a32.row(r));
+    f64->append(a64.row(r));
+  }
+  const Matrix s32 = f32->sketch();
+  const Matrix s64 = f64->sketch();
+  ASSERT_EQ(s32.rows(), s64.rows()) << GetParam();
+  ASSERT_EQ(s32.cols(), s64.cols()) << GetParam();
+  EXPECT_EQ(Matrix::max_abs_diff(s32, s64), 0.0) << GetParam();
+  EXPECT_EQ(f32->rows_ingested_f32(), 40) << GetParam();
+}
+
 TEST_P(SketcherConformance, F32IngestTracksWidenedIngestUnderStockConfig) {
   // Stock factory config — for arams that switches priority sampling and
   // rank adaptation ON. The sampler's fp32 weight reduction may differ
