@@ -144,22 +144,7 @@ Matrix FrequentDirections::basis(std::size_t k) {
   const linalg::MatrixView b =
       linalg::MatrixView::rows_of(buffer_, 0, next_zero_row_);
   linalg::sigma_vt_svd(b, ws_, svd_, k);  // only the top-k rows are read
-  k = std::min({k, b.rows(), svd_.sigma.size()});
-  const double smax = svd_.sigma.empty() ? 0.0 : svd_.sigma[0];
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < k; ++i) {
-    if (svd_.sigma[i] > 1e-7 * smax && svd_.sigma[i] > 0.0) ++kept;
-  }
-  Matrix out(kept, dim_);
-  for (std::size_t i = 0; i < kept; ++i) {
-    const auto wi = svd_.w.row(i);
-    auto dst = out.row(i);
-    const double inv = 1.0 / svd_.sigma[i];
-    for (std::size_t j = 0; j < dim_; ++j) {
-      dst[j] = wi[j] * inv;
-    }
-  }
-  return out;
+  return linalg::right_vectors(svd_.sigma, svd_.w, k);
 }
 
 void FrequentDirections::grow_ell(std::size_t extra) {

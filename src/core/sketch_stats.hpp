@@ -3,9 +3,9 @@
 // (Figs. 2–3) argues in terms of SVD/rotation counts on the critical path;
 // these counters make that argument checkable exactly.
 //
-// Result structs no longer embed SketchStats directly: they carry an
-// obs::StageReport and expose SketchStats through a legacy accessor, via
-// the conversion helpers below.
+// Result structs carry an obs::StageReport rather than SketchStats; the
+// helpers below convert between the two (the batch facade sums per-shard
+// reports back into SketchStats this way).
 
 #include "obs/stage_report.hpp"
 
@@ -42,8 +42,7 @@ inline void append_to_report(const SketchStats& stats,
   report.add_seconds("fd", stats.total_seconds);
 }
 
-/// Inverse of append_to_report — backs the legacy `stats`/`sketch_stats`
-/// accessors on result structs for one release.
+/// Inverse of append_to_report: reads the counters back out of a report.
 inline SketchStats sketch_stats_from_report(const obs::StageReport& report) {
   SketchStats stats;
   stats.rows_processed = report.counter("rows_processed");

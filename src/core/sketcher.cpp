@@ -189,18 +189,7 @@ Matrix Sketcher::basis(std::size_t k) {
   linalg::Workspace ws;
   linalg::SigmaVt svd;
   linalg::sigma_vt_svd(b, ws, svd, std::min(k, b.rows()));
-  // Rows of w are σᵢ·vᵢᵀ; normalizing recovers the orthonormal directions.
-  // Same 1e-7 relative rank floor as FD::basis / right_vectors.
-  const std::size_t cap = std::min({k, svd.w.rows(), svd.sigma.size()});
-  const double floor = svd.sigma.empty() ? 0.0 : 1e-7 * svd.sigma[0];
-  std::size_t keep = 0;
-  while (keep < cap && svd.sigma[keep] > floor) ++keep;
-  Matrix out(keep, dim());
-  for (std::size_t i = 0; i < keep; ++i) {
-    out.set_row(i, svd.w.row(i));
-    linalg::scale(out.row(i), 1.0 / svd.sigma[i]);
-  }
-  return out;
+  return linalg::right_vectors(svd.sigma, svd.w, k);
 }
 
 // ------------------------------------------------------- config + factory

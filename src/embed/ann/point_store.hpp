@@ -16,31 +16,6 @@
 
 namespace arams::embed::ann {
 
-/// Bounded insertion scan selecting the k lexicographically-smallest
-/// (value, index) pairs of `value(j)`, j in [0, n), skipping `self`
-/// (pass n or larger to disable self-exclusion). `best` is caller scratch
-/// resized to k; identical tie behaviour to knn.cpp's select_row / the
-/// historical partial_sort path.
-template <typename ValueFn>
-void select_k(std::size_t n, std::size_t self, std::size_t k,
-              std::vector<std::pair<double, std::size_t>>& best,
-              ValueFn value) {
-  best.resize(k);
-  std::size_t filled = 0;
-  for (std::size_t j = 0; j < n; ++j) {
-    if (j == self) continue;
-    const double d = value(j);
-    if (filled == k && d >= best[k - 1].first) continue;
-    std::size_t pos = filled < k ? filled : k - 1;
-    while (pos > 0 && best[pos - 1].first > d) {
-      best[pos] = best[pos - 1];
-      --pos;
-    }
-    best[pos] = {d, j};
-    if (filled < k) ++filled;
-  }
-}
-
 class PointStoreSearcher : public NeighborSearcher {
  public:
   explicit PointStoreSearcher(AnnConfig config);

@@ -191,8 +191,6 @@ std::vector<std::string> AnnConfig::validate() const {
 
 namespace {
 
-using ann::select_k;
-
 /// GEMM-blocked brute force over the stored points — the PR-5 distance
 /// engine behind the searcher seam. Ground truth for every recall pin.
 class ExactSearcher final : public ann::PointStoreSearcher {

@@ -45,15 +45,6 @@ namespace {
 // this the dispatch overhead dominates.
 constexpr std::size_t kElementParallelThreshold = std::size_t{1} << 18;
 
-parallel::ThreadPool* fixup_pool(std::size_t elements,
-                                 const DistanceOptions& opts) {
-  if (!opts.allow_parallel || elements < kElementParallelThreshold) {
-    return nullptr;
-  }
-  parallel::ThreadPool& pool = parallel::shared_pool();
-  return pool.thread_count() >= 2 ? &pool : nullptr;
-}
-
 /// Naive reference: per-pair scalar differences, bitwise-identical to the
 /// historical consumer loops.
 void pairwise_naive(MatrixView x, MatrixView y, Matrix& out) {
@@ -86,18 +77,19 @@ void pairwise_gemm(MatrixView x, MatrixView y,
       }
     }
   };
-  parallel::ThreadPool* pool = fixup_pool(m * n, opts);
-  if (pool == nullptr) {
-    fix_rows(0, m);
-  } else {
-    const std::size_t bands = std::min(m, pool->thread_count() * 4);
-    pool->parallel_for(bands, [&](std::size_t t) {
-      fix_rows(m * t / bands, m * (t + 1) / bands);
-    });
-  }
+  for_row_bands(m, m * n, opts, fix_rows);
 }
 
 }  // namespace
+
+parallel::ThreadPool* row_band_pool(std::size_t elements,
+                                    const DistanceOptions& opts) {
+  if (!opts.allow_parallel || elements < kElementParallelThreshold) {
+    return nullptr;
+  }
+  parallel::ThreadPool& pool = parallel::shared_pool();
+  return pool.thread_count() >= 2 ? &pool : nullptr;
+}
 
 void pairwise_gram(MatrixView x, MatrixView y, Matrix& out) {
   ARAMS_CHECK(x.cols() == y.cols(), "pairwise dimension mismatch");

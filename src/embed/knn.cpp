@@ -7,7 +7,6 @@
 
 #include "linalg/blas.hpp"
 #include "obs/metrics.hpp"
-#include "parallel/thread_pool.hpp"
 #include "util/check.hpp"
 #include "util/stopwatch.hpp"
 
@@ -68,52 +67,22 @@ struct NeighborList {
   }
 };
 
-/// Per-row k-smallest selection scratch. One per worker thread (grow-only),
-/// so the parallel selection path stays allocation-free at steady state.
-std::vector<std::pair<double, std::size_t>>& selection_scratch() {
-  thread_local std::vector<std::pair<double, std::size_t>> buf;
-  return buf;
-}
-
-/// Selects the k nearest of the n candidate distances `value(j)` (squared),
-/// excluding `self`, into the graph slots of point `i`. `value` is invoked
+/// Selects the k nearest of the n candidate squared distances `value(j)`,
+/// excluding `self`, into the graph slots of point `self`. `value` is invoked
 /// once per candidate in ascending j — callers fuse the Gram-trick norm
 /// fix-up into it so a distance block is traversed exactly once.
-///
-/// Bounded insertion scan: one pass with an O(1) reject against the current
-/// k-th distance, shift-inserting the rare survivor. Equal distances keep
-/// the lower index first and, because j ascends, a candidate tying the
-/// current worst can never improve on it — so the output is exactly the k
-/// lexicographically-smallest (distance, index) pairs in ascending order,
-/// identical to the historical build-all-pairs-and-partial_sort selection,
-/// at a fraction of its memory traffic.
 template <typename ValueFn>
-void select_row(std::size_t n, std::size_t self, std::size_t k,
-                std::size_t i, KnnGraph& g, ValueFn value) {
-  auto& best = selection_scratch();
-  best.resize(k);
-  std::size_t filled = 0;
-  for (std::size_t j = 0; j < n; ++j) {
-    if (j == self) continue;
-    const double d = value(j);
-    if (filled == k && d >= best[k - 1].first) continue;
-    std::size_t pos = filled < k ? filled : k - 1;
-    while (pos > 0 && best[pos - 1].first > d) {
-      best[pos] = best[pos - 1];
-      --pos;
-    }
-    best[pos] = {d, j};
-    if (filled < k) ++filled;
-  }
+void select_row(std::size_t n, std::size_t self, std::size_t k, KnnGraph& g,
+                ValueFn value) {
+  // Per-thread grow-only scratch: the parallel selection path stays
+  // allocation-free at steady state.
+  thread_local std::vector<std::pair<double, std::size_t>> best;
+  select_k(n, self, k, best, value);
   for (std::size_t j = 0; j < k; ++j) {
-    g.neighbors[i * k + j] = best[j].second;
-    g.distances[i * k + j] = std::sqrt(best[j].first);
+    g.neighbors[self * k + j] = best[j].second;
+    g.distances[self * k + j] = std::sqrt(best[j].first);
   }
 }
-
-// Selection fans out across the pool once a block holds this many distance
-// entries (the same order of work as the engine's fix-up threshold).
-constexpr std::size_t kSelectParallelThreshold = std::size_t{1} << 18;
 
 }  // namespace
 
@@ -176,28 +145,15 @@ void exact_knn(const Matrix& points, std::size_t k, linalg::Workspace& ws,
         const double* row = d.row(r).data();
         if (opts.use_gemm) {
           const double qn = norms[self];
-          select_row(n, self, k, self, g, [&](std::size_t j) {
+          select_row(n, self, k, g, [&](std::size_t j) {
             return std::max(0.0, qn + norms[j] - 2.0 * row[j]);
           });
         } else {
-          select_row(n, self, k, self, g,
-                     [&](std::size_t j) { return row[j]; });
+          select_row(n, self, k, g, [&](std::size_t j) { return row[j]; });
         }
       }
     };
-    parallel::ThreadPool* pool = nullptr;
-    if (opts.allow_parallel && rows * n >= kSelectParallelThreshold) {
-      parallel::ThreadPool& shared = parallel::shared_pool();
-      if (shared.thread_count() >= 2) pool = &shared;
-    }
-    if (pool == nullptr) {
-      select_band(0, rows);
-    } else {
-      const std::size_t bands = std::min(rows, pool->thread_count() * 4);
-      pool->parallel_for(bands, [&](std::size_t t) {
-        select_band(rows * t / bands, rows * (t + 1) / bands);
-      });
-    }
+    for_row_bands(rows, rows * n, opts, select_band);
   }
   knn_seconds().observe(timer.seconds());
 }

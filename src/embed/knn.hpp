@@ -17,6 +17,7 @@
 // workspace per call.
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "embed/distance.hpp"
@@ -41,6 +42,35 @@ struct KnnGraph {
     return distances[i * k + j];
   }
 };
+
+/// Bounded insertion scan selecting the k lexicographically-smallest
+/// (value, index) pairs of `value(j)`, j in [0, n), skipping `self` (pass
+/// n or larger to disable self-exclusion), into `best` (caller scratch,
+/// resized to k) in ascending order. One pass with an O(1) reject against
+/// the current k-th value, shift-inserting the rare survivor. Equal values
+/// keep the lower index first and, because j ascends, a candidate tying the
+/// current worst can never improve on it — so the output is identical to a
+/// build-all-pairs-and-partial_sort selection at a fraction of its memory
+/// traffic. Every kNN path (exact graph, searcher queries) selects here.
+template <typename ValueFn>
+void select_k(std::size_t n, std::size_t self, std::size_t k,
+              std::vector<std::pair<double, std::size_t>>& best,
+              ValueFn value) {
+  best.resize(k);
+  std::size_t filled = 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    if (j == self) continue;
+    const double d = value(j);
+    if (filled == k && d >= best[k - 1].first) continue;
+    std::size_t pos = filled < k ? filled : k - 1;
+    while (pos > 0 && best[pos - 1].first > d) {
+      best[pos] = best[pos - 1];
+      --pos;
+    }
+    best[pos] = {d, j};
+    if (filled < k) ++filled;
+  }
+}
 
 /// Exact kNN by blocked brute force. Excludes self-neighbours. Requires
 /// k < n.

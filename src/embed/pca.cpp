@@ -31,7 +31,7 @@ void PcaProjector::init(const Matrix& sketch, std::size_t k,
     // back-transformation at the components we keep.
     linalg::RowSpaceSvd& svd = ws.rsvd();
     linalg::gram_row_svd(linalg::MatrixView(sketch), ws, svd, k);
-    basis_ = linalg::right_vectors(svd, k);
+    basis_ = linalg::right_vectors(svd.sigma, svd.w, k);
     sigma_.assign(svd.sigma.begin(),
                   svd.sigma.begin() +
                       static_cast<std::ptrdiff_t>(basis_.rows()));

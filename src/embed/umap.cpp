@@ -157,6 +157,27 @@ std::pair<double, double> fit_ab(double spread, double min_dist) {
   return {best_a, best_b};
 }
 
+namespace {
+
+/// Rescales an initial layout to the [-10, 10] box UMAP's SGD expects, then
+/// adds a tiny jitter that breaks exact ties so SGD does not divide by zero.
+void fit_init_box(Matrix& y, Rng& rng) {
+  double mx = 0.0;
+  for (std::size_t i = 0; i < y.rows(); ++i) {
+    for (const double v : y.row(i)) mx = std::max(mx, std::abs(v));
+  }
+  if (mx > 0.0) {
+    for (std::size_t i = 0; i < y.rows(); ++i) {
+      linalg::scale(y.row(i), 10.0 / mx);
+    }
+  }
+  for (std::size_t i = 0; i < y.rows(); ++i) {
+    for (auto& v : y.row(i)) v += 1e-4 * rng.normal();
+  }
+}
+
+}  // namespace
+
 Matrix spectral_init(const FuzzyGraph& graph, std::size_t n_components,
                      Rng& rng, int iterations) {
   ARAMS_CHECK(graph.n >= 2, "spectral init needs at least two points");
@@ -228,19 +249,7 @@ Matrix spectral_init(const FuzzyGraph& graph, std::size_t n_components,
     found.push_back(x);
   }
 
-  // Rescale to the [-10, 10] box UMAP's SGD expects.
-  double mx = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (const double v : y.row(i)) mx = std::max(mx, std::abs(v));
-  }
-  if (mx > 0.0) {
-    for (std::size_t i = 0; i < n; ++i) {
-      linalg::scale(y.row(i), 10.0 / mx);
-    }
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    for (auto& v : y.row(i)) v += 1e-4 * rng.normal();
-  }
+  fit_init_box(y, rng);
   return y;
 }
 
@@ -267,19 +276,7 @@ Matrix initialize_embedding(const Matrix& points, const FuzzyGraph& fuzzy,
     }
     const PcaProjector pca(centered, config.n_components);
     y = pca.project(centered);
-    double mx = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      for (const double v : y.row(i)) mx = std::max(mx, std::abs(v));
-    }
-    if (mx > 0.0) {
-      for (std::size_t i = 0; i < n; ++i) {
-        linalg::scale(y.row(i), 10.0 / mx);
-      }
-    }
-    // Tiny jitter breaks exact ties so SGD does not divide by zero.
-    for (std::size_t i = 0; i < n; ++i) {
-      for (auto& v : y.row(i)) v += 1e-4 * rng.normal();
-    }
+    fit_init_box(y, rng);
   } else {
     for (std::size_t i = 0; i < n; ++i) {
       for (auto& v : y.row(i)) v = rng.uniform(-10.0, 10.0);
@@ -290,118 +287,145 @@ Matrix initialize_embedding(const Matrix& points, const FuzzyGraph& fuzzy,
 
 double clip4(double v) { return std::clamp(v, -4.0, 4.0); }
 
-void optimize_layout(Matrix& y, const FuzzyGraph& graph,
-                     const UmapConfig& config, double a, double b, Rng& rng) {
-  const std::size_t n = y.rows();
-  const std::size_t dim = y.cols();
-  const int n_epochs = config.n_epochs;
-  if (graph.edges.empty()) return;
+/// Gradient coefficient of the attractive cross-entropy term at squared
+/// embedding distance d2 > 0, for the curve 1/(1 + a·d^{2b}).
+double attract_coeff(double d2, double a, double b) {
+  return (-2.0 * a * b * std::pow(d2, b - 1.0)) / (1.0 + a * std::pow(d2, b));
+}
 
-  double w_max = 0.0;
-  for (const auto& e : graph.edges) w_max = std::max(w_max, e.weight);
-
-  const std::size_t m = graph.edges.size();
-  std::vector<double> epochs_per_sample(m);
-  std::vector<double> epoch_of_next(m);
-  std::vector<double> epochs_per_negative(m);
-  std::vector<double> epoch_of_next_negative(m);
-  for (std::size_t e = 0; e < m; ++e) {
-    epochs_per_sample[e] = w_max / graph.edges[e].weight;
-    epoch_of_next[e] = epochs_per_sample[e];
-    epochs_per_negative[e] =
-        epochs_per_sample[e] / std::max(config.negative_samples, 1);
-    epoch_of_next_negative[e] = epochs_per_negative[e];
+/// The edge-epoch schedule both optimizers share: edge e is visited every
+/// w_max/wₑ epochs and draws negative_samples negatives per visit; the
+/// learning rate decays linearly to zero over n_epochs.
+class EdgeSchedule {
+ public:
+  EdgeSchedule(const FuzzyGraph& graph, const UmapConfig& config)
+      : learning_rate_(config.learning_rate), n_epochs_(config.n_epochs) {
+    double w_max = 0.0;
+    for (const auto& e : graph.edges) w_max = std::max(w_max, e.weight);
+    const std::size_t m = graph.edges.size();
+    per_sample_.resize(m);
+    per_negative_.resize(m);
+    for (std::size_t e = 0; e < m; ++e) {
+      per_sample_[e] = w_max / graph.edges[e].weight;
+      per_negative_[e] =
+          per_sample_[e] / std::max(config.negative_samples, 1);
+    }
+    next_ = per_sample_;
+    next_negative_ = per_negative_;
   }
 
-  const double gamma = config.repulsion_strength;
-  for (int epoch = 1; epoch <= n_epochs; ++epoch) {
-    const double alpha =
-        config.learning_rate *
-        (1.0 - static_cast<double>(epoch) / static_cast<double>(n_epochs));
-    for (std::size_t e = 0; e < m; ++e) {
-      if (epoch_of_next[e] > epoch) continue;
-      const auto& edge = graph.edges[e];
-      auto yu = y.row(edge.u);
-      auto yv = y.row(edge.v);
+  [[nodiscard]] double alpha(int epoch) const {
+    return learning_rate_ *
+           (1.0 - static_cast<double>(epoch) / static_cast<double>(n_epochs_));
+  }
 
-      // Attractive move along the edge.
-      double d2 = 0.0;
+  [[nodiscard]] bool due(std::size_t e, int epoch) const {
+    return !(next_[e] > epoch);
+  }
+
+  /// Books a due edge's visit at `epoch`; returns how many negative
+  /// samples the visit draws.
+  int visit(std::size_t e, int epoch) {
+    next_[e] += per_sample_[e];
+    const int n_neg =
+        static_cast<int>((epoch - next_negative_[e]) / per_negative_[e]) + 1;
+    next_negative_[e] += per_negative_[e] * static_cast<double>(n_neg);
+    return n_neg;
+  }
+
+ private:
+  double learning_rate_;
+  int n_epochs_;
+  std::vector<double> per_sample_, next_, per_negative_, next_negative_;
+};
+
+/// One edge's SGD step: attract u and v along the edge, then push u away
+/// from n_neg vertices drawn uniformly by `neg_rng`. Positions are read
+/// from `read` and the moves added to `write` — the serial optimizer
+/// passes y for both (in-place updates), the batch optimizer the frozen
+/// previous layout and its partition's delta.
+struct SgdStep {
+  double a, b, gamma, alpha;
+
+  // Forced inline: the per-edge call sits in both optimizers' hot loops.
+  [[gnu::always_inline]] void operator()(const Matrix& read, Matrix& write,
+                  const FuzzyGraph::Edge& edge, int n_neg,
+                  Rng& neg_rng) const {
+    const std::size_t dim = read.cols();
+    const auto yu = read.row(edge.u);
+    const auto yv = read.row(edge.v);
+    auto wu = write.row(edge.u);
+    auto wv = write.row(edge.v);
+
+    double d2 = 0.0;
+    for (std::size_t c = 0; c < dim; ++c) {
+      const double diff = yu[c] - yv[c];
+      d2 += diff * diff;
+    }
+    if (d2 > 0.0) {
+      const double coeff = attract_coeff(d2, a, b);
       for (std::size_t c = 0; c < dim; ++c) {
-        const double diff = yu[c] - yv[c];
-        d2 += diff * diff;
+        const double g = clip4(coeff * (yu[c] - yv[c]));
+        wu[c] += alpha * g;
+        wv[c] -= alpha * g;
       }
-      if (d2 > 0.0) {
-        const double coeff = (-2.0 * a * b * std::pow(d2, b - 1.0)) /
-                             (1.0 + a * std::pow(d2, b));
-        for (std::size_t c = 0; c < dim; ++c) {
-          const double g = clip4(coeff * (yu[c] - yv[c]));
-          yu[c] += alpha * g;
-          yv[c] -= alpha * g;
-        }
-      }
-      epoch_of_next[e] += epochs_per_sample[e];
+    }
 
-      // Negative (repulsive) samples for the head vertex.
-      const int n_neg = static_cast<int>(
-          (epoch - epoch_of_next_negative[e]) / epochs_per_negative[e]) + 1;
-      for (int s = 0; s < n_neg; ++s) {
-        const std::size_t r = rng.uniform_index(n);
-        if (r == edge.u || r == edge.v) continue;
-        const auto yr = y.row(r);
-        double rd2 = 0.0;
-        for (std::size_t c = 0; c < dim; ++c) {
-          const double diff = yu[c] - yr[c];
-          rd2 += diff * diff;
-        }
-        double coeff = 0.0;
-        if (rd2 > 0.0) {
-          coeff = (2.0 * gamma * b) /
-                  ((0.001 + rd2) * (1.0 + a * std::pow(rd2, b)));
-        }
-        for (std::size_t c = 0; c < dim; ++c) {
-          const double g =
-              (coeff > 0.0) ? clip4(coeff * (yu[c] - yr[c])) : 4.0;
-          yu[c] += alpha * g;
-        }
+    for (int s = 0; s < n_neg; ++s) {
+      const std::size_t r = neg_rng.uniform_index(read.rows());
+      if (r == edge.u || r == edge.v) continue;
+      const auto yr = read.row(r);
+      double rd2 = 0.0;
+      for (std::size_t c = 0; c < dim; ++c) {
+        const double diff = yu[c] - yr[c];
+        rd2 += diff * diff;
       }
-      epoch_of_next_negative[e] +=
-          epochs_per_negative[e] * static_cast<double>(n_neg);
+      double coeff = 0.0;
+      if (rd2 > 0.0) {
+        coeff = (2.0 * gamma * b) /
+                ((0.001 + rd2) * (1.0 + a * std::pow(rd2, b)));
+      }
+      for (std::size_t c = 0; c < dim; ++c) {
+        const double g =
+            (coeff > 0.0) ? clip4(coeff * (yu[c] - yr[c])) : 4.0;
+        wu[c] += alpha * g;
+      }
+    }
+  }
+};
+
+/// Serial layout: edges visited in order, updating y in place, negatives
+/// drawn from the one shared `rng` stream.
+void optimize_layout(Matrix& y, const FuzzyGraph& graph,
+                     const UmapConfig& config, double a, double b, Rng& rng) {
+  EdgeSchedule schedule(graph, config);
+  for (int epoch = 1; epoch <= config.n_epochs; ++epoch) {
+    const SgdStep step{a, b, config.repulsion_strength,
+                       schedule.alpha(epoch)};
+    for (std::size_t e = 0; e < graph.edges.size(); ++e) {
+      if (!schedule.due(e, epoch)) continue;
+      step(y, y, graph.edges[e], schedule.visit(e, epoch), rng);
     }
   }
 }
 
 /// Batch-parallel layout (umappp-style). Per epoch: the layout is frozen
 /// into y_prev, the edge list is split into kPartitions fixed contiguous
-/// ranges, and each partition accumulates its gradient steps into a private
-/// delta matrix while reading only y_prev. Deltas are then folded into y in
+/// ranges, and each partition accumulates its steps into a private delta
+/// matrix while reading only y_prev. Deltas are then folded into y in
 /// partition order. Nothing shared is written concurrently (TSan-clean) and
 /// both the partitioning and the reduction order are independent of the
 /// pool size, so the result is deterministic for any thread count —
-/// including one, which is how the serial-equivalence test runs it.
-/// Negative samples come from per-edge-per-epoch split RNG streams.
+/// including one (pinned by the UmapPins digests and their one-thread
+/// ctest lane). Negatives come from per-edge-per-epoch split RNG streams.
 void optimize_layout_batch(Matrix& y, const FuzzyGraph& graph,
                            const UmapConfig& config, double a, double b,
                            const Rng& rng) {
   const std::size_t n = y.rows();
   const std::size_t dim = y.cols();
-  const int n_epochs = config.n_epochs;
-  if (graph.edges.empty()) return;
-
-  double w_max = 0.0;
-  for (const auto& e : graph.edges) w_max = std::max(w_max, e.weight);
-
   const std::size_t m = graph.edges.size();
-  std::vector<double> epochs_per_sample(m);
-  std::vector<double> epoch_of_next(m);
-  std::vector<double> epochs_per_negative(m);
-  std::vector<double> epoch_of_next_negative(m);
-  for (std::size_t e = 0; e < m; ++e) {
-    epochs_per_sample[e] = w_max / graph.edges[e].weight;
-    epoch_of_next[e] = epochs_per_sample[e];
-    epochs_per_negative[e] =
-        epochs_per_sample[e] / std::max(config.negative_samples, 1);
-    epoch_of_next_negative[e] = epochs_per_negative[e];
-  }
+  if (m == 0) return;
+  EdgeSchedule schedule(graph, config);
 
   constexpr std::size_t kPartitions = 16;
   const std::size_t parts = std::min(kPartitions, m);
@@ -413,70 +437,21 @@ void optimize_layout_batch(Matrix& y, const FuzzyGraph& graph,
   parallel::ThreadPool& pool = parallel::shared_pool();
   const bool parallel_epochs = pool.thread_count() >= 2;
 
-  const double gamma = config.repulsion_strength;
-  for (int epoch = 1; epoch <= n_epochs; ++epoch) {
-    const double alpha =
-        config.learning_rate *
-        (1.0 - static_cast<double>(epoch) / static_cast<double>(n_epochs));
+  for (int epoch = 1; epoch <= config.n_epochs; ++epoch) {
+    const SgdStep step{a, b, config.repulsion_strength,
+                       schedule.alpha(epoch)};
     std::copy(y.data(), y.data() + n * dim, y_prev.data());
 
     const auto run_partition = [&](std::size_t p) {
       Matrix& delta = deltas[p];
       std::fill(delta.data(), delta.data() + n * dim, 0.0);
-      const std::size_t e0 = m * p / parts;
-      const std::size_t e1 = m * (p + 1) / parts;
-      for (std::size_t e = e0; e < e1; ++e) {
-        if (epoch_of_next[e] > epoch) continue;
-        const auto& edge = graph.edges[e];
-        const auto yu = y_prev.row(edge.u);
-        const auto yv = y_prev.row(edge.v);
-        auto du = delta.row(edge.u);
-        auto dv = delta.row(edge.v);
-
-        double d2 = 0.0;
-        for (std::size_t c = 0; c < dim; ++c) {
-          const double diff = yu[c] - yv[c];
-          d2 += diff * diff;
-        }
-        if (d2 > 0.0) {
-          const double coeff = (-2.0 * a * b * std::pow(d2, b - 1.0)) /
-                               (1.0 + a * std::pow(d2, b));
-          for (std::size_t c = 0; c < dim; ++c) {
-            const double g = clip4(coeff * (yu[c] - yv[c]));
-            du[c] += alpha * g;
-            dv[c] -= alpha * g;
-          }
-        }
-        epoch_of_next[e] += epochs_per_sample[e];
-
-        const int n_neg = static_cast<int>(
-            (epoch - epoch_of_next_negative[e]) / epochs_per_negative[e]) + 1;
+      for (std::size_t e = m * p / parts; e < m * (p + 1) / parts; ++e) {
+        if (!schedule.due(e, epoch)) continue;
         Rng neg_rng = rng.split(static_cast<std::uint64_t>(epoch) * m + e);
-        for (int s = 0; s < n_neg; ++s) {
-          const std::size_t r = neg_rng.uniform_index(n);
-          if (r == edge.u || r == edge.v) continue;
-          const auto yr = y_prev.row(r);
-          double rd2 = 0.0;
-          for (std::size_t c = 0; c < dim; ++c) {
-            const double diff = yu[c] - yr[c];
-            rd2 += diff * diff;
-          }
-          double coeff = 0.0;
-          if (rd2 > 0.0) {
-            coeff = (2.0 * gamma * b) /
-                    ((0.001 + rd2) * (1.0 + a * std::pow(rd2, b)));
-          }
-          for (std::size_t c = 0; c < dim; ++c) {
-            const double g =
-                (coeff > 0.0) ? clip4(coeff * (yu[c] - yr[c])) : 4.0;
-            du[c] += alpha * g;
-          }
-        }
-        epoch_of_next_negative[e] +=
-            epochs_per_negative[e] * static_cast<double>(n_neg);
+        step(y_prev, delta, graph.edges[e], schedule.visit(e, epoch),
+             neg_rng);
       }
     };
-
     if (parallel_epochs) {
       pool.parallel_for(parts, run_partition);
     } else {
@@ -581,8 +556,7 @@ void place_new_point(std::span<const std::size_t> nbr,
       d2 += diff * diff;
     }
     if (d2 <= 0.0) continue;
-    const double coeff = (-2.0 * a * b * std::pow(d2, b - 1.0)) /
-                         (1.0 + a * std::pow(d2, b));
+    const double coeff = attract_coeff(d2, a, b);
     for (std::size_t c = 0; c < dim; ++c) {
       yi[c] += alpha * (w[j] / wsum) *
                clip4(coeff * (yi[c] - ref[c]));
@@ -628,19 +602,7 @@ Matrix umap_transform(NeighborSearcher& reference_index,
           reference_embedding, config, a, b, rng, r, y.row(r));
     }
   };
-  parallel::ThreadPool* pool = nullptr;
-  if (opts.allow_parallel && n_new * n_ref >= (std::size_t{1} << 18)) {
-    parallel::ThreadPool& shared = parallel::shared_pool();
-    if (shared.thread_count() >= 2) pool = &shared;
-  }
-  if (pool == nullptr) {
-    place_band(0, n_new);
-  } else {
-    const std::size_t bands = std::min(n_new, pool->thread_count() * 4);
-    pool->parallel_for(bands, [&](std::size_t t) {
-      place_band(n_new * t / bands, n_new * (t + 1) / bands);
-    });
-  }
+  for_row_bands(n_new, n_new * n_ref, opts, place_band);
   return y;
 }
 
@@ -663,6 +625,11 @@ Matrix umap_transform(const Matrix& reference_points,
   linalg::Workspace ws;
   return umap_transform(reference_points, reference_embedding, new_points,
                         config, ws);
+}
+
+UmapConfig clamp_neighbors(UmapConfig config, std::size_t n_points) {
+  config.n_neighbors = std::min(config.n_neighbors, n_points - 1);
+  return config;
 }
 
 /// The effective searcher config for an embedding run: `seed` flows into

@@ -102,6 +102,11 @@ linalg::Matrix spectral_init(const FuzzyGraph& graph,
 /// would build.
 [[nodiscard]] AnnConfig umap_knn_config(const UmapConfig& config);
 
+/// `config` with n_neighbors capped at n_points − 1, the most an embedding
+/// of (or placement against) n_points points can use.
+[[nodiscard]] UmapConfig clamp_neighbors(UmapConfig config,
+                                         std::size_t n_points);
+
 /// Full UMAP embedding of `points` (n×d) into n×n_components.
 linalg::Matrix umap_embed(const linalg::Matrix& points,
                           const UmapConfig& config);

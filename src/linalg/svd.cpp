@@ -137,21 +137,21 @@ RowSpaceSvd gram_row_svd(const Matrix& a) {
   return out;
 }
 
-Matrix right_vectors(const RowSpaceSvd& s, std::size_t k, double rank_tol) {
-  const std::size_t m = s.w.rows();
-  k = std::min(k, m);
-  const double smax = s.sigma.empty() ? 0.0 : s.sigma[0];
+Matrix right_vectors(std::span<const double> sigma, MatrixView w,
+                     std::size_t k, double rank_tol) {
+  k = std::min({k, w.rows(), sigma.size()});
+  const double smax = sigma.empty() ? 0.0 : sigma[0];
   std::size_t kept = 0;
   for (std::size_t i = 0; i < k; ++i) {
-    if (s.sigma[i] > rank_tol * smax && s.sigma[i] > 0.0) {
+    if (sigma[i] > rank_tol * smax && sigma[i] > 0.0) {
       ++kept;
     }
   }
-  Matrix vt(kept, s.w.cols());
+  Matrix vt(kept, w.cols());
   for (std::size_t i = 0; i < kept; ++i) {
-    const auto wi = s.w.row(i);
+    const auto wi = w.row(i);
     auto vi = vt.row(i);
-    const double inv = 1.0 / s.sigma[i];
+    const double inv = 1.0 / sigma[i];
     for (std::size_t j = 0; j < wi.size(); ++j) {
       vi[j] = wi[j] * inv;
     }

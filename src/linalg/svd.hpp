@@ -11,6 +11,7 @@
 //    rescales those rows directly and never forms Vᵀ, avoiding divisions by
 //    tiny singular values. Cost O(m²d + m³) instead of O(md²).
 
+#include <span>
 #include <vector>
 
 #include "linalg/matrix.hpp"
@@ -52,13 +53,15 @@ RowSpaceSvd gram_row_svd(const Matrix& a);
 void gram_row_svd(MatrixView a, Workspace& ws, RowSpaceSvd& out,
                   std::size_t max_rank = static_cast<std::size_t>(-1));
 
-/// Recovers the top-k right singular vectors (k×d, orthonormal rows) from a
-/// RowSpaceSvd, skipping directions with sigma below `rank_tol` relative to
-/// sigma[0]. Returns fewer than k rows if the numerical rank is smaller.
-/// The default tolerance reflects the Gram trick's squared conditioning:
-/// singular values below ~√ε·σ₀ are numerical noise.
-Matrix right_vectors(const RowSpaceSvd& s, std::size_t k,
-                     double rank_tol = 1e-7);
+/// Recovers the top-k right singular vectors (k×d, orthonormal rows) from
+/// a Σ·Vᵀ pair — descending `sigma` and `w` whose row i is sigma[i]·vᵢᵀ (a
+/// RowSpaceSvd's or a SigmaVt's) — skipping directions with sigma below
+/// `rank_tol` relative to sigma[0]. Returns fewer than k rows if the
+/// numerical rank is smaller. The default tolerance reflects the Gram
+/// trick's squared conditioning: singular values below ~√ε·σ₀ are
+/// numerical noise. FD, the sketcher seam and PCA all normalize here.
+Matrix right_vectors(std::span<const double> sigma, MatrixView w,
+                     std::size_t k, double rank_tol = 1e-7);
 
 /// Reconstructs u * diag(sigma) * vt — test helper.
 Matrix svd_reconstruct(const ThinSvd& s);

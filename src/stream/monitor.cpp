@@ -273,19 +273,11 @@ SnapshotResult StreamingMonitor::snapshot() {
   Stopwatch timer;
   SnapshotResult out;
 
-  const Matrix rows = gather_reservoir(out.shot_ids);
-
-  const Matrix sketch = sketcher_->sketch();
-  ARAMS_CHECK(sketch.rows() > 0, "sketch is empty — ingest more frames");
-
-  const embed::PcaProjector pca(sketch, config_.pipeline.pca_components,
-                                snapshot_ws_);
-  out.latent = pca.project(rows);
-
-  embed::UmapConfig umap_config = config_.pipeline.umap;
-  umap_config.n_neighbors =
-      std::min(umap_config.n_neighbors, out.latent.rows() - 1);
-  out.embedding = embed::umap_embed(out.latent, umap_config, snapshot_ws_);
+  project_reservoir(out);
+  out.embedding = embed::umap_embed(
+      out.latent,
+      embed::clamp_neighbors(config_.pipeline.umap, out.latent.rows()),
+      snapshot_ws_);
 
   close_snapshot(out, timer);
 
@@ -303,40 +295,28 @@ SnapshotResult StreamingMonitor::snapshot() {
   return out;
 }
 
-Matrix StreamingMonitor::gather_reservoir(
-    std::vector<std::uint64_t>& shot_ids) const {
+void StreamingMonitor::project_reservoir(SnapshotResult& out) {
   Matrix rows(reservoir_.size(), dim_);
-  shot_ids.reserve(reservoir_.size());
+  out.shot_ids.reserve(reservoir_.size());
   std::size_t r = 0;
   for (const auto& [shot, row] : reservoir_) {
     rows.set_row(r++, row);
-    shot_ids.push_back(shot);
+    out.shot_ids.push_back(shot);
   }
-  return rows;
+  const Matrix sketch = sketcher_->sketch();
+  ARAMS_CHECK(sketch.rows() > 0, "sketch is empty — ingest more frames");
+  const embed::PcaProjector pca(sketch, config_.pipeline.pca_components,
+                                snapshot_ws_);
+  out.latent = pca.project(rows);
 }
 
 void StreamingMonitor::close_snapshot(SnapshotResult& out,
                                       const Stopwatch& timer) {
-  cluster_snapshot(out);
+  out.labels = cluster_embedding(out.embedding, config_.pipeline, snapshot_ws_);
   out.report.set_seconds("snapshot", timer.seconds());
   obs::flight_recorder().record(obs::FlightCode::kSnapshot, 0,
                                 static_cast<std::uint32_t>(out.latent.rows()),
                                 out.report.seconds("snapshot"));
-}
-
-void StreamingMonitor::cluster_snapshot(SnapshotResult& out) {
-  cluster::OpticsConfig optics_config = config_.pipeline.optics;
-  if (config_.pipeline.scale_min_pts) {
-    optics_config.min_pts = std::max<std::size_t>(
-        optics_config.min_pts,
-        std::min<std::size_t>(out.embedding.rows() / 10, 30));
-  }
-  optics_config.min_pts =
-      std::min<std::size_t>(optics_config.min_pts, out.embedding.rows());
-  const cluster::OpticsResult optics_result =
-      cluster::optics(out.embedding, optics_config, snapshot_ws_);
-  out.labels = cluster::extract_auto(optics_result,
-                                     config_.pipeline.cluster_quantile);
 }
 
 SnapshotResult StreamingMonitor::snapshot_incremental() {
@@ -349,11 +329,7 @@ SnapshotResult StreamingMonitor::snapshot_incremental() {
   SnapshotResult out;
 
   // Project the whole reservoir through the *current* sketch.
-  const Matrix rows = gather_reservoir(out.shot_ids);
-  const Matrix sketch = sketcher_->sketch();
-  const embed::PcaProjector pca(sketch, config_.pipeline.pca_components,
-                                snapshot_ws_);
-  out.latent = pca.project(rows);
+  project_reservoir(out);
   ARAMS_CHECK(out.latent.cols() == reference_latent_.cols(),
               "latent dimension changed — take a full snapshot");
 
@@ -388,11 +364,10 @@ SnapshotResult StreamingMonitor::snapshot_incremental() {
       }
       ann_index_->build(reference_latent_, snapshot_ws_);
     }
-    embed::UmapConfig umap_config = config_.pipeline.umap;
-    umap_config.n_neighbors =
-        std::min(umap_config.n_neighbors, ann_index_->size() - 1);
     const Matrix placed = embed::umap_transform(
-        *ann_index_, reference_embedding_, fresh, umap_config, snapshot_ws_);
+        *ann_index_, reference_embedding_, fresh,
+        embed::clamp_neighbors(config_.pipeline.umap, ann_index_->size()),
+        snapshot_ws_);
     for (std::size_t i = 0; i < fresh_rows.size(); ++i) {
       out.embedding.set_row(fresh_rows[i], placed.row(i));
     }

@@ -156,15 +156,14 @@ class StreamingMonitor {
   /// Pushes the pending batch (T precision) into the sketcher.
   template <typename T>
   void update_sketch();
-  /// The reservoir as snapshot rows, one per retained shot; appends the
-  /// shots' ids to `shot_ids` in the same order.
-  [[nodiscard]] linalg::Matrix gather_reservoir(
-      std::vector<std::uint64_t>& shot_ids) const;
-  /// Shared snapshot tail: clusters `out`, records its end-to-end seconds
-  /// and journals the snapshot flight event.
+  /// Projects the reservoir, one row per retained shot, through the
+  /// current sketch's PCA basis into `out.latent`; appends the shots' ids
+  /// to `out.shot_ids` in the same order.
+  void project_reservoir(SnapshotResult& out);
+  /// Shared snapshot tail: clusters `out` (pipeline stage 5's clusterer,
+  /// on snapshot_ws_), records its end-to-end seconds and journals the
+  /// snapshot flight event.
   void close_snapshot(SnapshotResult& out, const Stopwatch& timer);
-  /// Non-const: OPTICS draws its distance rows from snapshot_ws_.
-  void cluster_snapshot(SnapshotResult& out);
   /// Feeds one HealthSample; `with_numerics` additionally runs the
   /// basis-dependent checks (error estimate, orthogonality residual)
   /// every `health_check_every` batches.

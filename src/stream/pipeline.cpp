@@ -297,10 +297,9 @@ void MonitoringPipeline::run_tail_stages(const Matrix& rows,
   // --- stage 4: UMAP to 2-D ---
   {
     const obs::ScopedSpan stage_span("pipeline.embed");
-    embed::UmapConfig umap_config = config_.umap;
-    umap_config.n_neighbors =
-        std::min(umap_config.n_neighbors, result.latent.rows() - 1);
-    result.embedding = embed::umap_embed(result.latent, umap_config);
+    result.embedding = embed::umap_embed(
+        result.latent,
+        embed::clamp_neighbors(config_.umap, result.latent.rows()));
   }
   book_stage(stage_window("pipeline.embed_seconds_window"), "embed",
              obs::FlightStage::kEmbed, timer.lap(), result.report);
@@ -308,36 +307,9 @@ void MonitoringPipeline::run_tail_stages(const Matrix& rows,
   // --- stage 5: density clustering + ABOD outlier scores ---
   {
     const obs::ScopedSpan stage_span("pipeline.cluster");
-    const std::size_t scaled_min_pts =
-        config_.scale_min_pts
-            ? std::min<std::size_t>(result.embedding.rows() / 10, 30)
-            : 0;
-    if (config_.cluster_method == PipelineConfig::ClusterMethod::kKmeans) {
-      cluster::KmeansConfig kmeans_config = config_.kmeans;
-      kmeans_config.k =
-          std::min<std::size_t>(kmeans_config.k, result.embedding.rows());
-      result.labels =
-          cluster::kmeans(result.embedding, kmeans_config).labels;
-    } else if (config_.cluster_method ==
-               PipelineConfig::ClusterMethod::kHdbscan) {
-      cluster::HdbscanConfig hdbscan_config = config_.hdbscan;
-      hdbscan_config.min_samples = std::min<std::size_t>(
-          std::max(hdbscan_config.min_samples, scaled_min_pts),
-          result.embedding.rows() - 1);
-      hdbscan_config.min_cluster_size =
-          std::max(hdbscan_config.min_cluster_size, scaled_min_pts);
-      result.labels =
-          cluster::hdbscan(result.embedding, hdbscan_config).labels;
-    } else {
-      cluster::OpticsConfig optics_config = config_.optics;
-      optics_config.min_pts =
-          std::max(optics_config.min_pts, scaled_min_pts);
-      optics_config.min_pts = std::min<std::size_t>(
-          optics_config.min_pts, result.embedding.rows());
-      result.optics = cluster::optics(result.embedding, optics_config);
-      result.labels = cluster::extract_auto(result.optics,
-                                            config_.cluster_quantile);
-    }
+    linalg::Workspace ws;
+    result.labels =
+        cluster_embedding(result.embedding, config_, ws, &result.optics);
     if (config_.abod_k >= 2 && result.embedding.rows() > config_.abod_k) {
       result.outlier_scores = cluster::fast_abod(
           result.embedding, cluster::AbodConfig{config_.abod_k});
@@ -345,6 +317,40 @@ void MonitoringPipeline::run_tail_stages(const Matrix& rows,
   }
   book_stage(stage_window("pipeline.cluster_seconds_window"), "cluster",
              obs::FlightStage::kCluster, timer.lap(), result.report);
+}
+
+std::vector<int> cluster_embedding(const Matrix& embedding,
+                                   const PipelineConfig& config,
+                                   linalg::Workspace& ws,
+                                   cluster::OpticsResult* optics) {
+  const std::size_t n = embedding.rows();
+  const std::size_t scaled_min_pts =
+      config.scale_min_pts ? std::min<std::size_t>(n / 10, 30) : 0;
+  switch (config.cluster_method) {
+    case PipelineConfig::ClusterMethod::kKmeans: {
+      cluster::KmeansConfig kmeans_config = config.kmeans;
+      kmeans_config.k = std::min<std::size_t>(kmeans_config.k, n);
+      return cluster::kmeans(embedding, kmeans_config, ws).labels;
+    }
+    case PipelineConfig::ClusterMethod::kHdbscan: {
+      cluster::HdbscanConfig hdbscan_config = config.hdbscan;
+      hdbscan_config.min_samples = std::min<std::size_t>(
+          std::max(hdbscan_config.min_samples, scaled_min_pts), n - 1);
+      hdbscan_config.min_cluster_size =
+          std::max(hdbscan_config.min_cluster_size, scaled_min_pts);
+      return cluster::hdbscan(embedding, hdbscan_config).labels;
+    }
+    case PipelineConfig::ClusterMethod::kOptics:
+      break;
+  }
+  cluster::OpticsConfig optics_config = config.optics;
+  optics_config.min_pts = std::min<std::size_t>(
+      std::max(optics_config.min_pts, scaled_min_pts), n);
+  cluster::OpticsResult result = cluster::optics(embedding, optics_config, ws);
+  std::vector<int> labels =
+      cluster::extract_auto(result, config.cluster_quantile);
+  if (optics != nullptr) *optics = std::move(result);
+  return labels;
 }
 
 }  // namespace arams::stream

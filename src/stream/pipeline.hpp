@@ -157,6 +157,15 @@ class MonitoringPipeline {
   PipelineConfig config_;
 };
 
+/// Stage 5's labelling, shared by the batch and streaming facades: runs
+/// `config.cluster_method` over `embedding`, with OPTICS min_pts and the
+/// HDBSCAN sizes scaled up to ~n/10 (capped at 30) when
+/// `config.scale_min_pts` is set. OPTICS also fills `optics` when given.
+std::vector<int> cluster_embedding(const linalg::Matrix& embedding,
+                                   const PipelineConfig& config,
+                                   linalg::Workspace& ws,
+                                   cluster::OpticsResult* optics = nullptr);
+
 /// Publishes the "ingest.precision" gauge (32 or 64) — the one place both
 /// facades (MonitoringPipeline, StreamingMonitor) set it, so dashboards can
 /// correlate throughput shifts with the precision switch.

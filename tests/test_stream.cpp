@@ -144,6 +144,23 @@ TEST(Monitor, SnapshotShapesConsistent) {
   EXPECT_EQ(snap.shot_ids.back(), 79u);
 }
 
+TEST(Monitor, SnapshotHonoursClusterMethod) {
+  // The snapshot labels come from the configured clusterer (pipeline stage
+  // 5), not from OPTICS regardless of cluster_method.
+  MonitorConfig config = small_monitor();
+  config.pipeline.cluster_method = PipelineConfig::ClusterMethod::kKmeans;
+  config.pipeline.kmeans.k = 3;
+  StreamingMonitor monitor(config);
+  BeamProfileSource source(small_beam(), 80, 120.0, 8);
+  while (auto event = source.next()) {
+    monitor.ingest(*event);
+  }
+  monitor.flush();
+  const SnapshotResult snap = monitor.snapshot();
+  EXPECT_EQ(snap.labels, cluster::kmeans(snap.embedding, config.pipeline.kmeans)
+                             .labels);
+}
+
 TEST(Monitor, ReservoirEvictsOldest) {
   MonitorConfig config = small_monitor();
   config.reservoir_size = 32;

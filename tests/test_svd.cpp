@@ -144,7 +144,7 @@ TEST(RightVectors, OrthonormalRows) {
   Rng rng(91);
   const Matrix a = random_matrix(6, 30, rng);
   const RowSpaceSvd gram = gram_row_svd(a);
-  const Matrix vt = right_vectors(gram, 4);
+  const Matrix vt = right_vectors(gram.sigma, gram.w, 4);
   ASSERT_EQ(vt.rows(), 4u);
   EXPECT_LT(orthonormality_defect(vt.transposed()), 1e-8);
 }
@@ -161,7 +161,7 @@ TEST(RightVectors, SkipsNumericallyZeroDirections) {
     }
   }
   const RowSpaceSvd gram = gram_row_svd(a);
-  const Matrix vt = right_vectors(gram, 3);
+  const Matrix vt = right_vectors(gram.sigma, gram.w, 3);
   EXPECT_EQ(vt.rows(), 1u);
 }
 

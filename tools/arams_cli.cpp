@@ -33,6 +33,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "arams.hpp"
@@ -67,27 +68,30 @@ bool ends_with(const std::string& s, const std::string& suffix) {
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
-/// Loads rows either from a .frames bundle (flattened) or a .npy matrix.
-linalg::Matrix load_rows(const std::string& path) {
-  if (ends_with(path, ".frames")) {
-    return image::images_to_matrix(io::load_frames(path));
-  }
-  return io::load_npy(path);
-}
-
-/// fp32 twin of load_rows for the mixed-precision ingest lane: frames are
+/// Loads rows either from a .frames bundle (flattened) or a .npy matrix, as
+/// fp64, or as fp32 for the mixed-precision ingest lane: frames are
 /// narrowed at the door, '<f4' .npy payloads never round-trip through fp64.
-linalg::MatrixF load_rows_f32(const std::string& path) {
+template <typename T>
+linalg::BasicMatrix<T> load_rows(const std::string& path) {
+  constexpr bool kF32 = std::is_same_v<T, float>;
   if (ends_with(path, ".frames")) {
     const std::vector<image::ImageF> frames = io::load_frames(path);
-    std::vector<image::ImageF32> narrowed;
-    narrowed.reserve(frames.size());
-    for (const image::ImageF& frame : frames) {
-      narrowed.push_back(image::narrow(frame));
+    if constexpr (kF32) {
+      std::vector<image::ImageF32> narrowed;
+      narrowed.reserve(frames.size());
+      for (const image::ImageF& frame : frames) {
+        narrowed.push_back(image::narrow(frame));
+      }
+      return image::images_to_matrix(narrowed);
+    } else {
+      return image::images_to_matrix(frames);
     }
-    return image::images_to_matrix(narrowed);
   }
-  return io::load_npy_f32(path);
+  if constexpr (kF32) {
+    return io::load_npy_f32(path);
+  } else {
+    return io::load_npy(path);
+  }
 }
 
 void declare_ingest_flag(CliFlags& flags) {
@@ -328,9 +332,9 @@ int cmd_sketch(int argc, const char* const* argv) {
   linalg::Matrix rows;
   linalg::MatrixF rows_f32;
   if (f32) {
-    rows_f32 = load_rows_f32(flags.get("in"));
+    rows_f32 = load_rows<float>(flags.get("in"));
   } else {
-    rows = load_rows(flags.get("in"));
+    rows = load_rows<double>(flags.get("in"));
   }
   std::cout << "loaded " << (f32 ? rows_f32.rows() : rows.rows()) << " x "
             << (f32 ? rows_f32.cols() : rows.cols()) << " from "
@@ -713,7 +717,7 @@ int cmd_compare(int argc, const char* const* argv) {
   }
   ARAMS_CHECK(!flags.get("data").empty() && !flags.get("sketch").empty(),
               "--data and --sketch are required");
-  const linalg::Matrix rows = load_rows(flags.get("data"));
+  const linalg::Matrix rows = load_rows<double>(flags.get("data"));
   const linalg::Matrix sketch = io::load_npy(flags.get("sketch"));
   ARAMS_CHECK(rows.cols() == sketch.cols(),
               "data and sketch have different column counts");
