@@ -111,19 +111,26 @@ void BM_ExactKnnNaive(benchmark::State& state) {
 }
 BENCHMARK(BM_ExactKnnNaive)->Unit(benchmark::kMillisecond);
 
+// Args: {n, min_pts}. 4608 points at min_pts 30 is the reservoir size and
+// scaled min_pts of the streaming-snapshot and batch OPTICS workloads.
 void BM_OpticsCoreDist(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const Matrix pts = random_matrix(n, 2, 9);
+  const cluster::OpticsConfig config{
+      .min_pts = static_cast<std::size_t>(state.range(1))};
   linalg::Workspace ws;
   for (auto _ : state) {
-    const cluster::OpticsResult r =
-        cluster::optics(pts, cluster::OpticsConfig{5}, ws, {});
+    const cluster::OpticsResult r = cluster::optics(pts, config, ws, {});
     benchmark::DoNotOptimize(r.order.data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(n * n));
 }
-BENCHMARK(BM_OpticsCoreDist)->Arg(1024)->Arg(2048)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_OpticsCoreDist)
+    ->Args({1024, 5})
+    ->Args({2048, 5})
+    ->Args({4608, 30})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_OpticsCoreDistNaive(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -24,7 +24,7 @@ struct AbodConfig {
   /// kNN searcher used for the neighbourhood graph; the default "auto"
   /// backend keeps the historical exact graph below knn.exact_threshold
   /// points and switches to rpforest above.
-  embed::AnnConfig knn;
+  embed::AnnConfig knn{};
 };
 
 /// ABOF score per point (low = outlying).

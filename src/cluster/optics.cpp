@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
 
+#include "embed/knn.hpp"
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
 #include "util/stopwatch.hpp"
@@ -15,6 +15,22 @@ using linalg::Matrix;
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Largest squared distance whose square root is within `eps`, so that
+/// `dsq <= threshold` tests exactly `std::sqrt(dsq) <= eps` without the
+/// root (sqrt is correctly rounded, hence monotone). −∞ when no distance
+/// qualifies (negative or NaN eps).
+double sq_threshold(double eps) {
+  if (!(eps >= 0.0)) return -kInf;
+  if (std::isinf(eps)) return kInf;
+  double t = eps * eps;
+  while (std::sqrt(t) > eps) t = std::nextafter(t, 0.0);
+  for (double up = std::nextafter(t, kInf); std::sqrt(up) <= eps;
+       up = std::nextafter(t, kInf)) {
+    t = up;
+  }
+  return t;
+}
 
 }  // namespace
 
@@ -35,77 +51,55 @@ OpticsResult optics(embed::NeighborSearcher& index, const OpticsConfig& config,
   result.reachability.assign(n, kInf);
   result.core_distance.assign(n, kInf);
 
-  std::vector<bool> processed(n, false);
-  std::vector<double> dists(n);
+  const double eps_sq = sq_threshold(config.max_eps);
   std::vector<double> dsq(n);
-  std::vector<std::size_t> neighbors;
+  std::vector<std::pair<double, std::size_t>> best;
+  // Unprocessed points, ascending: the first entry is the next start.
+  std::vector<std::size_t> pending(n);
+  for (std::size_t q = 0; q < n; ++q) pending[q] = q;
 
-  const auto nd = ws.vec(linalg::wslot::kDistXNorms, n);  // selection scratch
-
-  const auto range_query = [&](std::size_t p) {
+  std::size_t p = 0;
+  for (std::size_t visited = 0; visited < n; ++visited) {
+    // Distance row plus core distance = distance to the (min_pts−1)-th
+    // neighbour within max_eps (the point itself counts toward min_pts, as
+    // in the original paper). Selecting on squared distances and taking
+    // one root gives the same double: sqrt is monotone.
     Stopwatch timer;
     index.sq_dists_to(points.row(p), ws, dsq, opts);
-    neighbors.clear();
-    for (std::size_t q = 0; q < n; ++q) {
-      if (q == p) continue;
-      dists[q] = std::sqrt(dsq[q]);
-      if (dists[q] <= config.max_eps) {
-        neighbors.push_back(q);
-      }
-    }
-    // Core distance = distance to the (min_pts−1)-th neighbour (the point
-    // itself counts toward min_pts, as in the original paper).
-    if (neighbors.size() + 1 >= config.min_pts) {
-      for (std::size_t i = 0; i < neighbors.size(); ++i) {
-        nd[i] = dists[neighbors[i]];
-      }
-      const std::size_t kth = config.min_pts - 2;  // 0-based among neighbours
-      std::nth_element(nd.begin(),
-                       nd.begin() + static_cast<std::ptrdiff_t>(kth),
-                       nd.begin() + static_cast<std::ptrdiff_t>(
-                                        neighbors.size()));
-      result.core_distance[p] = nd[kth];
-    } else {
-      result.core_distance[p] = kInf;
-    }
+    embed::select_k(n, p, config.min_pts - 1, best, [&](std::size_t q) {
+      return dsq[q] <= eps_sq ? dsq[q] : kInf;
+    });
+    const double kth = best.back().first;
+    const double core = std::isinf(kth) ? kInf : std::sqrt(kth);
+    result.core_distance[p] = core;
     range_time.add(timer.seconds());
-  };
+    result.order.push_back(p);
 
-  // Lazy-deletion min-heap keyed by candidate reachability.
-  using Seed = std::pair<double, std::size_t>;
-  std::priority_queue<Seed, std::vector<Seed>, std::greater<>> seeds;
-
-  const auto update_seeds = [&](std::size_t p) {
-    const double core = result.core_distance[p];
-    if (std::isinf(core)) return;  // not a core point: expands nothing
-    for (const std::size_t q : neighbors) {
-      if (processed[q]) continue;
-      const double reach = std::max(core, dists[q]);
-      if (reach < result.reachability[q]) {
-        result.reachability[q] = reach;
-        seeds.emplace(reach, q);
+    const bool expands = !std::isinf(core);  // non-core points expand nothing
+    // One pass over the unprocessed points: drop p, relax reachabilities
+    // through p, and pick the lexicographic minimum of (reachability,
+    // index) — exactly what a lazy-deletion min-heap of strict
+    // improvements would pop next.
+    std::size_t kept = 0;
+    std::size_t next = n;
+    double next_reach = kInf;
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+      const std::size_t q = pending[i];
+      if (q == p) continue;
+      pending[kept++] = q;
+      if (expands && dsq[q] <= eps_sq) {
+        const double reach = std::max(core, std::sqrt(dsq[q]));
+        if (reach < result.reachability[q]) result.reachability[q] = reach;
+      }
+      if (result.reachability[q] < next_reach) {
+        next_reach = result.reachability[q];
+        next = q;
       }
     }
-  };
-
-  for (std::size_t start = 0; start < n; ++start) {
-    if (processed[start]) continue;
-    processed[start] = true;
-    range_query(start);
-    result.order.push_back(start);
-    update_seeds(start);
-
-    while (!seeds.empty()) {
-      const auto [r, q] = seeds.top();
-      seeds.pop();
-      if (processed[q] || r > result.reachability[q]) continue;  // stale
-      processed[q] = true;
-      range_query(q);
-      result.order.push_back(q);
-      update_seeds(q);
-    }
+    pending.resize(kept);
+    // No finite candidate: restart at the lowest unprocessed index.
+    if (kept > 0) p = next < n ? next : pending.front();
   }
-  ARAMS_CHECK(result.order.size() == n, "OPTICS ordering incomplete");
   core_dist_seconds.observe(range_time.total_seconds());
   return result;
 }

@@ -33,14 +33,17 @@ struct OpticsResult {
 /// pipeline clusters are 2-D and a few thousand points). Each visited
 /// point's full distance row comes from the shared engine as one 1×n block
 /// (embed/distance.hpp), with all point norms hoisted out of the traversal;
-/// range-query wall time per call accumulates into the
-/// "cluster.core_dist_seconds" histogram. The traversal itself is
-/// inherently sequential, so the ordering is identical for any pool size.
+/// its core distance is one embed::select_k scan of that squared row, and
+/// one pass over the unprocessed points relaxes their reachability and
+/// picks the next point: the lexicographic minimum of (reachability,
+/// index), which is what a seed min-heap would pop. Distance-row plus
+/// core-distance wall time accumulates into the "cluster.core_dist_seconds"
+/// histogram. The traversal itself is inherently sequential, so the
+/// ordering is identical for any pool size.
 OpticsResult optics(const linalg::Matrix& points, const OpticsConfig& config);
 
-/// Workspace-backed variant: the distance row, point norms and core-dist
-/// selection scratch all come from `ws` (allocation-free at steady state on
-/// the serial path). `opts.use_gemm = false` reproduces the historical
+/// Workspace-backed variant: the distance row's block and point norms come
+/// from `ws`. `opts.use_gemm = false` reproduces the historical
 /// per-pair scalar arithmetic bit for bit.
 OpticsResult optics(const linalg::Matrix& points, const OpticsConfig& config,
                     linalg::Workspace& ws,

@@ -9,25 +9,30 @@ namespace arams::core {
 SketchErrorTracker::SketchErrorTracker(const ErrorTrackerConfig& config)
     : config_(config), rng_(config.seed) {
   ARAMS_CHECK(config.reservoir_size >= 1, "reservoir must hold >= 1 row");
-  reservoir_.reserve(config.reservoir_size);
 }
 
 void SketchErrorTracker::observe(std::span<const double> row) {
   if (dim_ == 0) {
     dim_ = row.size();
     ARAMS_CHECK(dim_ > 0, "zero-dimensional rows");
+    // Reserve the full reservoir once: reshapes below capacity never
+    // reallocate, so filling it row by row copies nothing.
+    reservoir_.reshape(config_.reservoir_size, dim_);
+    reservoir_.reshape(0, dim_);
   }
   ARAMS_CHECK(row.size() == dim_, "row dimension changed mid-stream");
   ++rows_seen_;
-  if (reservoir_.size() < config_.reservoir_size) {
-    reservoir_.emplace_back(row.begin(), row.end());
+  const std::size_t count = reservoir_.rows();
+  if (count < config_.reservoir_size) {
+    reservoir_.reshape(count + 1, dim_);
+    reservoir_.set_row(count, row);
     return;
   }
   // Algorithm R: replace a random slot with probability size/seen.
   const auto slot = rng_.uniform_index(
       static_cast<std::uint64_t>(rows_seen_));
   if (slot < config_.reservoir_size) {
-    reservoir_[slot].assign(row.begin(), row.end());
+    reservoir_.set_row(slot, row);
   }
 }
 
@@ -38,29 +43,21 @@ void SketchErrorTracker::observe_batch(const linalg::Matrix& rows) {
 }
 
 std::size_t SketchErrorTracker::reservoir_count() const {
-  return reservoir_.size();
+  return reservoir_.rows();
 }
 
 linalg::Matrix SketchErrorTracker::reservoir_rows() const {
-  ARAMS_CHECK(!reservoir_.empty(), "no rows observed yet");
-  linalg::Matrix out(reservoir_.size(), dim_);
-  for (std::size_t i = 0; i < reservoir_.size(); ++i) {
-    out.set_row(i, reservoir_[i]);
-  }
-  return out;
+  ARAMS_CHECK(reservoir_.rows() > 0, "no rows observed yet");
+  return reservoir_;
 }
 
 double SketchErrorTracker::relative_error(
     const linalg::Matrix& basis) const {
-  ARAMS_CHECK(!reservoir_.empty(), "no rows observed yet");
+  ARAMS_CHECK(reservoir_.rows() > 0, "no rows observed yet");
   ARAMS_CHECK(basis.cols() == dim_, "basis dimension mismatch");
-  linalg::Matrix r(reservoir_.size(), dim_);
-  for (std::size_t i = 0; i < reservoir_.size(); ++i) {
-    r.set_row(i, reservoir_[i]);
-  }
-  const double total = linalg::frobenius_norm_squared(r);
+  const double total = linalg::frobenius_norm_squared(reservoir_);
   if (total <= 0.0) return 0.0;
-  return linalg::projection_residual_exact(r, basis) / total;
+  return linalg::projection_residual_exact(reservoir_, basis, total) / total;
 }
 
 }  // namespace arams::core

@@ -10,7 +10,7 @@
 // deliberately does not provide.
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "linalg/matrix.hpp"
 #include "rng/rng.hpp"
@@ -50,7 +50,7 @@ class SketchErrorTracker {
  private:
   ErrorTrackerConfig config_;
   Rng rng_;
-  std::vector<std::vector<double>> reservoir_;
+  linalg::Matrix reservoir_;  ///< the sampled rows, one per matrix row
   long rows_seen_ = 0;
   std::size_t dim_ = 0;
 };

@@ -42,6 +42,11 @@ double covariance_error_relative(const Matrix& a, const Matrix& b, Rng& rng,
 /// spanning the retained subspace). O(n·d·k); used by tests as ground truth.
 double projection_residual_exact(const Matrix& x, const Matrix& v);
 
+/// As above with ‖X‖²_F already known (`x_norm_sq`, as frobenius_norm_squared
+/// returns it) — for callers that also need it as a denominator.
+double projection_residual_exact(const Matrix& x, const Matrix& v,
+                                 double x_norm_sq);
+
 /// Randomized estimate of projection_residual_exact using `probes` Gaussian
 /// probe vectors (Algorithm 1 of the paper). Unbiased; relative accuracy
 /// improves roughly 10% per 10 probes as reported in the paper.

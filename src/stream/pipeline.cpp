@@ -312,7 +312,7 @@ void MonitoringPipeline::run_tail_stages(const Matrix& rows,
         cluster_embedding(result.embedding, config_, ws, &result.optics);
     if (config_.abod_k >= 2 && result.embedding.rows() > config_.abod_k) {
       result.outlier_scores = cluster::fast_abod(
-          result.embedding, cluster::AbodConfig{config_.abod_k});
+          result.embedding, cluster::AbodConfig{.k = config_.abod_k});
     }
   }
   book_stage(stage_window("pipeline.cluster_seconds_window"), "cluster",

@@ -39,7 +39,7 @@ TEST(Abod, ValidatesArguments) {
 
 TEST(Abod, OutlierGetsLowestScore) {
   const Matrix pts = cluster_with_outlier(40, 2);
-  const auto scores = fast_abod(pts, AbodConfig{8});
+  const auto scores = fast_abod(pts, AbodConfig{.k = 8});
   ASSERT_EQ(scores.size(), 41u);
   const auto min_at = static_cast<std::size_t>(
       std::min_element(scores.begin(), scores.end()) - scores.begin());
@@ -48,7 +48,7 @@ TEST(Abod, OutlierGetsLowestScore) {
 
 TEST(Abod, ScoresAreNonNegative) {
   const Matrix pts = cluster_with_outlier(30, 3);
-  const auto scores = fast_abod(pts, AbodConfig{6});
+  const auto scores = fast_abod(pts, AbodConfig{.k = 6});
   for (const double s : scores) {
     EXPECT_GE(s, 0.0);
   }
@@ -65,7 +65,7 @@ TEST(Abod, TwoOutliersBothDetected) {
   pts(40, 1) = 0.0;
   pts(41, 0) = -55.0;
   pts(41, 1) = -70.0;
-  const auto scores = fast_abod(pts, AbodConfig{8});
+  const auto scores = fast_abod(pts, AbodConfig{.k = 8});
   const auto top = top_outliers(scores, 2);
   const std::set<std::size_t> found(top.begin(), top.end());
   EXPECT_TRUE(found.contains(40u));
@@ -84,7 +84,7 @@ TEST(Abod, DuplicatePointsHandled) {
   pts(18, 1) = pts(0, 1);
   pts(19, 0) = pts(1, 0);
   pts(19, 1) = pts(1, 1);
-  const auto scores = fast_abod(pts, AbodConfig{5});
+  const auto scores = fast_abod(pts, AbodConfig{.k = 5});
   for (const double s : scores) {
     EXPECT_FALSE(std::isnan(s));
   }
@@ -93,7 +93,7 @@ TEST(Abod, DuplicatePointsHandled) {
 TEST(ExactAbod, AgreesWithFastAbodOnOutlierRanking) {
   const Matrix pts = cluster_with_outlier(25, 6);
   const auto exact = exact_abod(pts);
-  const auto fast = fast_abod(pts, AbodConfig{12});
+  const auto fast = fast_abod(pts, AbodConfig{.k = 12});
   // Both must rank the planted outlier last (lowest score).
   const auto exact_min = static_cast<std::size_t>(
       std::min_element(exact.begin(), exact.end()) - exact.begin());

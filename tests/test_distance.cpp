@@ -2,16 +2,13 @@
 // match the naive per-pair loops to rounding, parallel and serial runs must
 // agree bitwise, and workspace-backed steady-state calls must not allocate.
 //
-// The allocation check overrides global operator new/delete in this
-// translation unit only (each gtest binary is its own process, so the
-// override is hermetic) — same pattern as test_workspace.cpp.
+// The allocation check counts heap allocations through the replacement
+// operator new/delete in counting_new.hpp.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <cstdlib>
-#include <new>
 
 #include "embed/distance.hpp"
 #include "embed/knn.hpp"
@@ -21,39 +18,15 @@
 #include "linalg/workspace.hpp"
 #include "rng/rng.hpp"
 
-namespace {
-std::atomic<long> g_heap_allocations{0};
+#include "counting_new.hpp"
 
+namespace {
 // The engine's parallel paths go through the shared pool, whose size is
 // frozen on first use — pin it before any test touches it so the
 // parallel-vs-serial cases exercise real multi-thread execution even on a
 // single-core CI box.
 const int g_pool_env = ::setenv("ARAMS_POOL_THREADS", "4", 0);
 }  // namespace
-
-void* operator new(std::size_t n) {
-  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) {
-  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc();
-}
-void* operator new(std::size_t n, std::align_val_t a) {
-  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(a), n)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace arams::embed {
 namespace {

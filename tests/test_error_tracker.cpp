@@ -98,6 +98,26 @@ TEST(ErrorTracker, EstimateMatchesExactStreamError) {
   EXPECT_NEAR(estimated, exact, 0.5 * exact + 1e-4);
 }
 
+TEST(ErrorTracker, RelativeErrorIsTheReservoirResidual) {
+  // Past capacity, so Algorithm R replacements land in the reservoir too.
+  ErrorTrackerConfig config;
+  config.reservoir_size = 40;
+  SketchErrorTracker tracker(config);
+  Rng rng(4);
+  Matrix rows(150, 24);
+  for (std::size_t i = 0; i < rows.rows(); ++i) rng.fill_normal(rows.row(i));
+  tracker.observe_batch(rows);
+  Matrix b(24, 5);
+  for (std::size_t i = 0; i < b.rows(); ++i) rng.fill_normal(b.row(i));
+  linalg::orthonormalize_columns(b);
+  const Matrix basis = b.transposed();
+  const Matrix kept = tracker.reservoir_rows();
+  ASSERT_EQ(kept.rows(), 40u);
+  EXPECT_EQ(tracker.relative_error(basis),
+            linalg::projection_residual_exact(kept, basis) /
+                linalg::frobenius_norm_squared(kept));
+}
+
 TEST(ErrorTracker, ZeroForDataInsideBasisSpan) {
   Rng rng(3);
   Matrix b(10, 2);

@@ -11,14 +11,11 @@
 //   * shard-row accounting (gauges + report) and the sketch()-time merge
 //     stats (op counts + measured merge wall) are published
 //
-// The allocation check overrides global operator new/delete in this
-// translation unit only — same pattern as test_sketcher.cpp.
+// The allocation check counts heap allocations through the replacement
+// operator new/delete in counting_new.hpp.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <string>
 #include <vector>
 
@@ -35,33 +32,7 @@
 #include "rng/rng.hpp"
 #include "util/check.hpp"
 
-namespace {
-std::atomic<long> g_heap_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) {
-  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc();
-}
-void* operator new(std::size_t n, std::align_val_t a) {
-  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(a), n)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
+#include "counting_new.hpp"
 
 namespace arams::core {
 namespace {

@@ -2,18 +2,13 @@
 // accounting, and the headline guarantee — steady-state FD shrink() performs
 // ZERO heap allocations.
 //
-// The allocation check works by overriding global operator new/delete in
-// this translation unit only (each gtest binary is its own process, so the
-// override is hermetic). The counter is bumped on every allocation path;
-// the test warms a FrequentDirections instance past its first few shrink
-// cycles, snapshots the counter, streams thousands more rows through, and
-// requires the counter not to move.
+// The allocation check counts heap allocations through the replacement
+// operator new/delete in counting_new.hpp. The test warms a
+// FrequentDirections instance past its first few shrink cycles, snapshots
+// the counter, streams thousands more rows through, and requires the
+// counter not to move.
 
 #include <gtest/gtest.h>
-
-#include <atomic>
-#include <cstdlib>
-#include <new>
 
 #include "core/fd.hpp"
 #include "linalg/matrix.hpp"
@@ -22,33 +17,7 @@
 #include "obs/metrics.hpp"
 #include "rng/rng.hpp"
 
-namespace {
-std::atomic<long> g_heap_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) {
-  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc();
-}
-void* operator new(std::size_t n, std::align_val_t a) {
-  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(a), n)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
+#include "counting_new.hpp"
 
 namespace arams::linalg {
 namespace {
