@@ -61,29 +61,29 @@ void BM_GramRows(benchmark::State& state) {
 }
 BENCHMARK(BM_GramRows)->Arg(16)->Arg(64)->Arg(128);
 
-void BM_GramRowSvd(benchmark::State& state) {
+void BM_SigmaVtSvd(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(0));
   const Matrix a = random_matrix(m, 2048, 4);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(linalg::gram_row_svd(a));
+    benchmark::DoNotOptimize(linalg::sigma_vt_svd(a));
   }
 }
-BENCHMARK(BM_GramRowSvd)->Arg(16)->Arg(64)->Arg(128);
+BENCHMARK(BM_SigmaVtSvd)->Arg(16)->Arg(64)->Arg(128);
 
 // Same decomposition through a caller-owned Workspace: after the first
 // iteration every scratch buffer is recycled, so this isolates the pure
 // compute cost the FD shrink loop pays at steady state.
-void BM_GramRowSvdWorkspace(benchmark::State& state) {
+void BM_SigmaVtSvdWorkspace(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(0));
   const Matrix a = random_matrix(m, 2048, 4);
   linalg::Workspace ws;
-  linalg::RowSpaceSvd out;
+  linalg::SigmaVt out;
   for (auto _ : state) {
-    linalg::gram_row_svd(a, ws, out);
+    linalg::sigma_vt_svd(a, ws, out);
     benchmark::DoNotOptimize(out.w.data());
   }
 }
-BENCHMARK(BM_GramRowSvdWorkspace)->Arg(16)->Arg(64)->Arg(128);
+BENCHMARK(BM_SigmaVtSvdWorkspace)->Arg(16)->Arg(64)->Arg(128);
 
 void BM_JacobiSvdReference(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(0));

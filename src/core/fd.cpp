@@ -62,45 +62,50 @@ void FrequentDirections::append_batch(linalg::MatrixViewF rows) {
   append_rows(rows);
 }
 
-void FrequentDirections::shrink() {
-  ARAMS_DCHECK(next_zero_row_ > 0, "shrink of empty buffer");
-  Stopwatch timer;
-  // Zero-copy view of the occupied buffer prefix; the SVD reads it fully
-  // before any buffer row is overwritten below.
-  const linalg::MatrixView occupied =
-      linalg::MatrixView::rows_of(buffer_, 0, next_zero_row_);
+std::size_t shrink_rows(linalg::MatrixView rows, std::size_t ell,
+                        linalg::Workspace& ws, linalg::SigmaVt& svd,
+                        Matrix& out) {
   // At most ℓ−1 directions survive the rescale (σ_ℓ² = δ kills row ℓ−1 and
   // everything after it), so cap the materialized right-vector rows at ℓ.
-  linalg::sigma_vt_svd(occupied, ws_, svd_, ell_);
+  linalg::sigma_vt_svd(rows, ws, svd, ell);
 
   // δ = σ_ℓ² (1-based) — the paper's Algorithm 2 line 16. When fewer than ℓ
   // directions exist there is nothing to shrink away (δ = 0) and the
-  // rotation only re-orthogonalizes the buffer.
-  const std::size_t m = svd_.sigma.size();
+  // rotation only re-orthogonalizes the rows.
+  const std::size_t m = svd.sigma.size();
   const double delta =
-      (m >= ell_) ? svd_.sigma[ell_ - 1] * svd_.sigma[ell_ - 1] : 0.0;
+      (m >= ell) ? svd.sigma[ell - 1] * svd.sigma[ell - 1] : 0.0;
 
-  last_spectrum_ = svd_.sigma;
-
-  // Row i of svd_.w equals σᵢ·vᵢᵀ; rescale to √(σᵢ²−δ)·vᵢᵀ without ever
+  // Row i of svd.w equals σᵢ·vᵢᵀ; rescale to √(σᵢ²−δ)·vᵢᵀ without ever
   // forming Vᵀ. Rows whose σᵢ² ≤ δ vanish, as do directions below the
   // Gram-trick noise floor (√ε·σ₀) — keeping those would inject garbage
   // directions into the sketch and its basis.
   const double sigma_floor =
-      (m > 0 && svd_.sigma[0] > 0.0) ? 1e-7 * svd_.sigma[0] : 0.0;
-  const std::size_t prev_occupied = next_zero_row_;
-  std::size_t out = 0;
-  for (std::size_t i = 0; i < m; ++i) {
-    const double s2 = svd_.sigma[i] * svd_.sigma[i];
-    if (s2 <= delta || svd_.sigma[i] <= sigma_floor) break;  // descending
-    const double scale = std::sqrt(s2 - delta) / svd_.sigma[i];
-    const auto wi = svd_.w.row(i);
-    auto dst = buffer_.row(out);
-    for (std::size_t j = 0; j < dim_; ++j) {
+      (m > 0 && svd.sigma[0] > 0.0) ? 1e-7 * svd.sigma[0] : 0.0;
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < svd.w.rows(); ++i) {
+    const double s2 = svd.sigma[i] * svd.sigma[i];
+    if (s2 <= delta || svd.sigma[i] <= sigma_floor) break;  // descending
+    const double scale = std::sqrt(s2 - delta) / svd.sigma[i];
+    const auto wi = svd.w.row(i);
+    auto dst = out.row(kept);
+    for (std::size_t j = 0; j < wi.size(); ++j) {
       dst[j] = scale * wi[j];
     }
-    ++out;
+    ++kept;
   }
+  return kept;
+}
+
+void FrequentDirections::shrink() {
+  ARAMS_DCHECK(next_zero_row_ > 0, "shrink of empty buffer");
+  Stopwatch timer;
+  // Zero-copy view of the occupied buffer prefix, shrunk in place.
+  const linalg::MatrixView occupied =
+      linalg::MatrixView::rows_of(buffer_, 0, next_zero_row_);
+  const std::size_t prev_occupied = next_zero_row_;
+  const std::size_t out = shrink_rows(occupied, ell_, ws_, svd_, buffer_);
+  last_spectrum_ = svd_.sigma;
   // Zero only [out, prev_occupied): the leading rows were just rewritten
   // and everything at or past prev_occupied is already zero by the buffer
   // invariant (rows >= next_zero_row_ are always zero).

@@ -25,6 +25,20 @@ struct FdConfig {
   bool fast = true;
 };
 
+/// The one FD shrink, shared by the streaming sketch and every merge:
+/// rotates `rows` onto its right singular directions and shrinks each by
+/// δ = σ_ℓ² (δ = 0 when fewer than ℓ directions exist, i.e. d < ℓ), then
+/// drops the directions at or below δ and below the √ε·σ₀ noise floor of
+/// the Gram trick. Writes the survivors √(σᵢ²−δ)·vᵢᵀ into the leading rows
+/// of `out` (which must have at least min(ℓ, rows, cols) rows and the same
+/// width) and returns how many it wrote, at most ℓ−1 when δ > 0. `out` may
+/// be the matrix `rows` views: the SVD reads every row before the first
+/// write. `ws` and `svd` are the caller's reusable scratch; `svd` holds the
+/// full spectrum afterwards.
+std::size_t shrink_rows(linalg::MatrixView rows, std::size_t ell,
+                        linalg::Workspace& ws, linalg::SigmaVt& svd,
+                        linalg::Matrix& out);
+
 /// Streaming Frequent Directions sketch.
 class FrequentDirections {
  public:

@@ -1,11 +1,10 @@
 #include "core/merge.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 #include <string>
 
-#include "linalg/svd.hpp"
+#include "core/fd.hpp"
 #include "linalg/workspace.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -29,44 +28,15 @@ struct MergeScratch {
   linalg::SigmaVt svd;
 };
 
-/// One FD shrink of `stacked` down to at most `ell` rows (the surviving
-/// non-zero rows; at most ℓ−1 of them are non-zero, matching Algorithm 2).
+/// One FD shrink of `stacked` down to its surviving rows (at most ℓ−1,
+/// matching Algorithm 2) — the streaming sketch's own kernel. A stack that
+/// already fits in ℓ rows passes through unshrunk.
 Matrix shrink_to_ell(MatrixView stacked, std::size_t ell,
                      MergeScratch& scratch) {
   if (stacked.rows() <= ell) return stacked.to_matrix();
-  linalg::sigma_vt_svd(stacked, scratch.ws, scratch.svd, ell);
-  const linalg::SigmaVt& svd = scratch.svd;
-  if (svd.sigma.size() < ell) {
-    // Fewer directions than ℓ (d < ℓ): nothing needs shrinking; rebuild
-    // the ≤ d non-trivial rows verbatim.
-    Matrix out(svd.sigma.size(), stacked.cols());
-    for (std::size_t i = 0; i < out.rows(); ++i) {
-      std::copy(svd.w.row(i).begin(), svd.w.row(i).end(),
-                out.row(i).begin());
-    }
-    return out;
-  }
-  const double delta = svd.sigma[ell - 1] * svd.sigma[ell - 1];
-  const double sigma_floor =
-      svd.sigma[0] > 0.0 ? 1e-7 * svd.sigma[0] : 0.0;
-  std::size_t keep = 0;
-  for (std::size_t i = 0; i < ell; ++i) {
-    if (svd.sigma[i] * svd.sigma[i] <= delta ||
-        svd.sigma[i] <= sigma_floor) {
-      break;
-    }
-    ++keep;
-  }
-  Matrix out(keep, stacked.cols());
-  for (std::size_t i = 0; i < keep; ++i) {
-    const double s2 = svd.sigma[i] * svd.sigma[i];
-    const double scale = std::sqrt(s2 - delta) / svd.sigma[i];
-    const auto wi = svd.w.row(i);
-    auto dst = out.row(i);
-    for (std::size_t j = 0; j < out.cols(); ++j) {
-      dst[j] = scale * wi[j];
-    }
-  }
+  Matrix out(std::min(ell, stacked.cols()), stacked.cols());
+  out.reshape(shrink_rows(stacked, ell, scratch.ws, scratch.svd, out),
+              stacked.cols());
   return out;
 }
 
@@ -74,10 +44,13 @@ Matrix shrink_to_ell(MatrixView stacked, std::size_t ell,
 /// returns a view — the allocation-free replacement for chained vstack.
 MatrixView stack_group(const std::vector<Matrix>& sketches, std::size_t begin,
                        std::size_t end, linalg::Workspace& ws) {
-  const std::size_t cols = sketches[begin].cols();
+  // Row-less sketches (an empty shard's 0×0) add nothing and fix no width.
+  std::size_t cols = sketches[begin].cols();
   std::size_t rows = 0;
   for (std::size_t i = begin; i < end; ++i) {
-    ARAMS_CHECK(sketches[i].cols() == cols || sketches[i].rows() == 0,
+    if (sketches[i].rows() == 0) continue;
+    if (rows == 0) cols = sketches[i].cols();
+    ARAMS_CHECK(sketches[i].cols() == cols,
                 "merge of sketches with mismatched widths");
     rows += sketches[i].rows();
   }
@@ -95,12 +68,9 @@ MatrixView stack_group(const std::vector<Matrix>& sketches, std::size_t begin,
 
 Matrix merge_group(const std::vector<Matrix>& sketches, std::size_t ell) {
   ARAMS_CHECK(!sketches.empty(), "merge of zero sketches");
-  Matrix stacked = sketches.front();
-  for (std::size_t i = 1; i < sketches.size(); ++i) {
-    stacked = Matrix::vstack(stacked, sketches[i]);
-  }
   MergeScratch scratch;
-  return shrink_to_ell(stacked, ell, scratch);
+  return shrink_to_ell(
+      stack_group(sketches, 0, sketches.size(), scratch.ws), ell, scratch);
 }
 
 Matrix serial_merge(std::vector<Matrix> sketches, std::size_t ell,
@@ -111,11 +81,12 @@ Matrix serial_merge(std::vector<Matrix> sketches, std::size_t ell,
   MergeStats local;
   MergeScratch scratch;
   Stopwatch wall;
-  Matrix acc = std::move(sketches.front());
+  // Folds in place: slot i receives the merge of slots i−1 and i.
   for (std::size_t i = 1; i < sketches.size(); ++i) {
     Stopwatch timer;
     merge_ops.add(1);
-    acc = shrink_to_ell(Matrix::vstack(acc, sketches[i]), ell, scratch);
+    sketches[i] = shrink_to_ell(stack_group(sketches, i - 1, i + 1, scratch.ws),
+                                ell, scratch);
     const double s = timer.seconds();
     ++local.merge_ops;
     ++local.levels;
@@ -126,7 +97,7 @@ Matrix serial_merge(std::vector<Matrix> sketches, std::size_t ell,
   }
   local.critical_path_seconds_measured = wall.seconds();
   if (stats != nullptr) *stats = local;
-  return acc;
+  return std::move(sketches.back());
 }
 
 Matrix tree_merge(std::vector<Matrix> sketches, std::size_t ell,

@@ -3,7 +3,9 @@
 //
 // FD sketches are mergeable summaries: stacking two ℓ-row sketches and
 // running one FD shrink yields an ℓ-row sketch of the union with the same
-// space/error trade-off. serial_merge folds P sketches one at a time
+// space/error trade-off. Every merge stacks its inputs into workspace
+// scratch and runs core::shrink_rows, the streaming sketch's own shrink, on
+// stacks of more than ℓ rows. serial_merge folds P sketches one at a time
 // (P−1 shrinks on the critical path — the bottleneck the paper identifies);
 // tree_merge reduces them level by level (⌈log_a P⌉ shrink *rounds* on the
 // critical path), which is what makes the Fig. 2 scaling linear.
@@ -60,8 +62,7 @@ linalg::Matrix serial_merge(std::vector<linalg::Matrix> sketches,
 /// inline on the calling thread. Group g of a level owns scratch arena g
 /// and writes result slot g, so the reduction is bitwise identical at any
 /// thread count — scheduling decides only *when* a group runs, never what
-/// it computes. Groups stack into workspace scratch (no per-step vstack
-/// allocations), so repeated merges are allocation-free at steady state.
+/// it computes.
 linalg::Matrix tree_merge(std::vector<linalg::Matrix> sketches,
                           std::size_t ell, std::size_t arity = 2,
                           MergeStats* stats = nullptr,

@@ -35,7 +35,7 @@ struct BackendEntry {
   const char* description;
 };
 
-/// Canonical registry, factory order. Aliases resolve below.
+/// Backend registry, factory order.
 constexpr BackendEntry kBackends[] = {
     {"arams", "priority sampling + (rank-adaptive) FD — the paper's Alg. 3"},
     {"fd", "fixed-rank Frequent Directions, fast 2l-buffer variant"},
@@ -47,16 +47,12 @@ constexpr BackendEntry kBackends[] = {
      "single-pass randomized range-finder / Nystrom sketch of A^T A"},
 };
 
-/// Resolves aliases (the pre-redesign RowSketcher factory names) to
-/// canonical names; returns "" when unknown.
-std::string canonical_name(const std::string& name) {
-  if (name == "gaussian-projection") return "gaussian";
-  if (name == "count-sketch") return "countsketch";
-  if (name == "norm-sampling") return "normsample";
+/// True when `name` is one of the registered (plain) backends.
+bool known_backend(const std::string& name) {
   for (const auto& entry : kBackends) {
-    if (name == entry.name) return entry.name;
+    if (name == entry.name) return true;
   }
-  return "";
+  return false;
 }
 
 /// The sharded-wrapper spelling: "sharded:<inner>" wraps any plain backend
@@ -207,7 +203,7 @@ std::vector<std::string> SketcherConfig::validate() const {
                        backend + "'");
       return errors;
     }
-    if (canonical_name(inner).empty()) {
+    if (!known_backend(inner)) {
       errors.push_back("sharded: unknown inner backend '" + inner +
                        "' (registered: " + joined_backend_names() + ")");
       return errors;
@@ -220,13 +216,12 @@ std::vector<std::string> SketcherConfig::validate() const {
     }
     return errors;
   }
-  const std::string canonical = canonical_name(backend);
-  if (canonical.empty()) {
+  if (!known_backend(backend)) {
     errors.push_back("unknown sketcher backend '" + backend +
                      "' (registered: " + joined_backend_names() + ")");
     return errors;
   }
-  if (canonical == "arams") {
+  if (backend == "arams") {
     for (const auto& err : arams.validate()) {
       errors.push_back("arams: " + err);
     }
@@ -235,7 +230,7 @@ std::vector<std::string> SketcherConfig::validate() const {
   if (ell < 1) {
     errors.push_back("ell must be >= 1");
   }
-  if (canonical == "rangefinder") {
+  if (backend == "rangefinder") {
     if (rf_oversample < 1) {
       errors.push_back("rangefinder oversample must be >= 1");
     }
@@ -249,9 +244,9 @@ std::vector<std::string> SketcherConfig::validate() const {
 bool sketcher_registered(const std::string& name) {
   if (is_sharded_name(name)) {
     const std::string inner = sharded_inner_name(name);
-    return !is_sharded_name(inner) && !canonical_name(inner).empty();
+    return !is_sharded_name(inner) && known_backend(inner);
   }
-  return !canonical_name(name).empty();
+  return known_backend(name);
 }
 
 std::vector<std::string> registered_sketchers() {
@@ -267,14 +262,13 @@ std::string sketcher_description(const std::string& name) {
   if (is_sharded_name(name)) {
     const std::string inner = sharded_inner_name(name);
     ARAMS_CHECK(sketcher_registered(name), "unknown sketcher: " + name);
-    return "concurrent sharded ingest over '" + canonical_name(inner) +
+    return "concurrent sharded ingest over '" + inner +
            "', pool tree-merged at sketch() (--shards=N)";
   }
-  const std::string canonical = canonical_name(name);
-  ARAMS_CHECK(!canonical.empty(), "unknown sketcher: " + name);
   for (const auto& entry : kBackends) {
-    if (canonical == entry.name) return entry.description;
+    if (name == entry.name) return entry.description;
   }
+  ARAMS_CHECK(false, "unknown sketcher: " + name);
   return "";
 }
 
@@ -295,7 +289,7 @@ std::unique_ptr<Sketcher> make_sketcher(const SketcherConfig& config) {
     return std::make_unique<ShardedSketcher>(inner, config.shards,
                                              &parallel::shared_pool());
   }
-  const std::string canonical = canonical_name(config.backend);
+  const std::string& canonical = config.backend;
   if (canonical == "arams") {
     return std::make_unique<AramsSketcher>(config.arams);
   }

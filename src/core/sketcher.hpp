@@ -143,7 +143,7 @@ class Sketcher {
 /// nested AramsConfig carries the full Algorithm-3 parameter set for
 /// "arams" (which reads its own ell/seed from `arams`, not the scalars).
 struct SketcherConfig {
-  std::string backend = "arams";  ///< canonical name or registered alias
+  std::string backend = "arams";  ///< registered name or "sharded:<name>"
   std::size_t ell = 32;           ///< sketch rows for non-arams backends
   std::uint64_t seed = 2024;      ///< RNG seed for non-arams backends
 
@@ -164,7 +164,7 @@ struct SketcherConfig {
   [[nodiscard]] std::vector<std::string> validate() const;
 };
 
-/// True when `name` is a canonical backend name or a registered alias.
+/// True when `name` is a registered backend name or "sharded:<name>".
 [[nodiscard]] bool sketcher_registered(const std::string& name);
 
 /// Canonical backend names, factory registration order.

@@ -359,24 +359,6 @@ KnnGraph nn_descent(const Matrix& points, std::size_t k, Rng& rng, int iters,
   return g;
 }
 
-void build_knn(const Matrix& points, std::size_t k, Rng& rng,
-               linalg::Workspace& ws, KnnGraph& out,
-               std::size_t exact_threshold, const DistanceOptions& opts) {
-  if (points.rows() <= exact_threshold) {
-    exact_knn(points, k, ws, out, opts);
-    return;
-  }
-  nn_descent(points, k, rng, ws, out, /*iters=*/6, /*sample_rate=*/1.0, opts);
-}
-
-KnnGraph build_knn(const Matrix& points, std::size_t k, Rng& rng,
-                   std::size_t exact_threshold) {
-  linalg::Workspace ws;
-  KnnGraph g;
-  build_knn(points, k, rng, ws, g, exact_threshold);
-  return g;
-}
-
 double knn_recall(const KnnGraph& approx, const KnnGraph& exact) {
   ARAMS_CHECK(approx.n == exact.n && approx.k == exact.k,
               "graphs not comparable");

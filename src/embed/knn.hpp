@@ -6,8 +6,11 @@
 // latent dimension is small after PCA, so this is fine for the
 // few-thousand-point embeddings the monitoring pipeline draws), and
 // NN-descent (Dong et al. 2011), the approximate method reference UMAP
-// uses, for larger point sets. Both record their wall time in the
-// "embed.knn_seconds" histogram.
+// uses. The rpforest searcher seeds a graph from its leaves and refines it
+// with nn_descent_refine; nn_descent starts from a random graph. Choosing
+// a method by size is the `auto` searcher's job (ann/searcher.hpp). Both
+// constructions record their wall time in the "embed.knn_seconds"
+// histogram.
 //
 // The workspace overloads draw every scratch block (distance block, row
 // norms, gathered candidate Gram) from a caller-owned linalg::Workspace and
@@ -103,17 +106,6 @@ void nn_descent_refine(const linalg::Matrix& points, Rng& rng,
                        linalg::Workspace& ws, KnnGraph& graph, int iters,
                        double sample_rate = 1.0,
                        const DistanceOptions& opts = {});
-
-/// Builds a kNN graph choosing the method by size: exact below
-/// `exact_threshold` points, NN-descent above.
-KnnGraph build_knn(const linalg::Matrix& points, std::size_t k, Rng& rng,
-                   std::size_t exact_threshold = 4096);
-
-/// Workspace-backed build_knn (same method selection).
-void build_knn(const linalg::Matrix& points, std::size_t k, Rng& rng,
-               linalg::Workspace& ws, KnnGraph& out,
-               std::size_t exact_threshold = 4096,
-               const DistanceOptions& opts = {});
 
 /// Fraction of true kNN edges recovered (test / diagnostic helper).
 double knn_recall(const KnnGraph& approx, const KnnGraph& exact);

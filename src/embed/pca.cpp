@@ -25,17 +25,19 @@ void PcaProjector::init(const Matrix& sketch, std::size_t k,
               "cannot build PCA from an empty sketch");
   ARAMS_CHECK(k > 0, "need at least one component");
   if (sketch.rows() <= sketch.cols()) {
-    // Sketch rows never exceed ℓ here, so the Gram trick applies; the
-    // workspace's reusable RowSpaceSvd keeps repeated rebuilds (one per
-    // monitor snapshot) off the heap, and max_rank=k stops the eigenvector
+    // Sketch rows never exceed ℓ here, so the row-Gram trick applies; the
+    // workspace's reusable SigmaVt keeps repeated rebuilds (one per monitor
+    // snapshot) off the heap, and max_rank=k stops the eigenvector
     // back-transformation at the components we keep.
-    linalg::RowSpaceSvd& svd = ws.rsvd();
-    linalg::gram_row_svd(linalg::MatrixView(sketch), ws, svd, k);
+    linalg::SigmaVt& svd = ws.svd();
+    linalg::sigma_vt_svd(linalg::MatrixView(sketch), ws, svd, k);
     basis_ = linalg::right_vectors(svd.sigma, svd.w, k);
     sigma_.assign(svd.sigma.begin(),
                   svd.sigma.begin() +
                       static_cast<std::ptrdiff_t>(basis_.rows()));
   } else {
+    // Jacobi, not the column Gram: UMAP's PCA init projects the tall n×15
+    // latent here, and the Gram path moves its trustworthiness bits.
     const linalg::ThinSvd svd = linalg::jacobi_svd(sketch);
     const std::size_t kept = std::min(k, svd.vt.rows());
     basis_ = svd.vt.slice_rows(0, kept);

@@ -109,34 +109,6 @@ ThinSvd jacobi_svd(const Matrix& a, double tol, int max_sweeps) {
   return out;
 }
 
-void gram_row_svd(MatrixView a, Workspace& ws, RowSpaceSvd& out,
-                  std::size_t max_rank) {
-  ARAMS_CHECK(a.rows() > 0 && a.cols() > 0, "svd of empty matrix");
-  ARAMS_CHECK(a.rows() <= a.cols(), "gram_row_svd requires rows <= cols");
-  const std::size_t m = a.rows();
-  Matrix& g = ws.mat(wslot::kSvdGram, m, m);
-  gram_rows(a, g);
-  SymmetricEig& eig = ws.eig();
-  EigenConfig cfg;
-  cfg.max_vectors = max_rank;
-  eigen_symmetric(g, ws, eig, cfg);
-
-  out.sigma.resize(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    out.sigma[i] = std::sqrt(std::max(eig.values[i], 0.0));
-  }
-  out.u = eig.vectors;         // m×r, columns sorted by descending sigma
-  matmul_tn(out.u, a, out.w);  // Uᵀ·A, row i = sigma_i v_iᵀ
-  ws.publish();
-}
-
-RowSpaceSvd gram_row_svd(const Matrix& a) {
-  Workspace ws;
-  RowSpaceSvd out;
-  gram_row_svd(MatrixView(a), ws, out);
-  return out;
-}
-
 Matrix right_vectors(std::span<const double> sigma, MatrixView w,
                      std::size_t k, double rank_tol) {
   k = std::min({k, w.rows(), sigma.size()});

@@ -38,9 +38,8 @@ std::size_t Workspace::bytes() const {
   for (const auto& v : idxs_) total += v.size() * sizeof(std::size_t);
   total += eig_.vectors.bytes();
   total += eig_.values.size() * sizeof(double);
-  total += rsvd_.u.bytes();
-  total += rsvd_.w.bytes();
-  total += rsvd_.sigma.size() * sizeof(double);
+  total += svd_.w.bytes();
+  total += svd_.sigma.size() * sizeof(double);
   return total;
 }
 
@@ -51,9 +50,8 @@ std::size_t Workspace::capacity_bytes() const {
   for (const auto& v : idxs_) total += v.capacity() * sizeof(std::size_t);
   total += eig_.vectors.capacity_bytes();
   total += eig_.values.capacity() * sizeof(double);
-  total += rsvd_.u.capacity_bytes();
-  total += rsvd_.w.capacity_bytes();
-  total += rsvd_.sigma.capacity() * sizeof(double);
+  total += svd_.w.capacity_bytes();
+  total += svd_.sigma.capacity() * sizeof(double);
   return total;
 }
 

@@ -35,7 +35,7 @@ namespace arams::linalg {
 
 /// Slot ids. Each kernel layer uses its own ids so nested calls compose.
 namespace wslot {
-inline constexpr std::size_t kSvdGram = 0;   ///< sigma_vt_svd / gram_row_svd
+inline constexpr std::size_t kSvdGram = 0;   ///< sigma_vt_svd Gram
 inline constexpr std::size_t kEigWork = 1;   ///< jacobi eig rotation target
 inline constexpr std::size_t kEigVectors = 2;  ///< jacobi eig accumulator
 inline constexpr std::size_t kEigValues = 0;   ///< vec slot: unsorted values
@@ -103,15 +103,15 @@ class Workspace {
   /// Index scratch of length n for `slot` (sort permutations).
   std::span<std::size_t> idx(std::size_t slot, std::size_t n);
 
-  /// Reusable eigendecomposition output — sigma_vt_svd and gram_row_svd
-  /// funnel their internal eigen_symmetric call through this so the
-  /// eigenvector matrix is recycled too.
+  /// Reusable eigendecomposition output — sigma_vt_svd funnels its
+  /// internal eigen_symmetric call through this so the eigenvector matrix
+  /// is recycled too.
   SymmetricEig& eig() { return eig_; }
 
-  /// Reusable row-space SVD output — callers that rebuild a RowSpaceSvd
-  /// per call (e.g. PCA snapshot projection) draw it from here so the
-  /// u/w factors are recycled alongside the rest of the arena.
-  RowSpaceSvd& rsvd() { return rsvd_; }
+  /// Reusable Σ·Vᵀ output — callers that rebuild one per call (e.g. PCA
+  /// snapshot projection) draw it from here so its `w` factor is recycled
+  /// alongside the rest of the arena.
+  SigmaVt& svd() { return svd_; }
 
   /// Total bytes of the *live* payloads across every buffer — the honest
   /// logical footprint (what the current shapes actually occupy).
@@ -139,7 +139,7 @@ class Workspace {
   std::deque<std::vector<double>> vecs_;
   std::deque<std::vector<std::size_t>> idxs_;
   SymmetricEig eig_;
-  RowSpaceSvd rsvd_;
+  SigmaVt svd_;
 };
 
 }  // namespace arams::linalg

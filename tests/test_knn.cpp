@@ -86,24 +86,6 @@ TEST(NnDescent, PerfectRecallOnWellSeparatedClusters) {
   EXPECT_GT(knn_recall(approx, exact), 0.95);
 }
 
-TEST(BuildKnn, SelectsExactBelowThreshold) {
-  const Matrix pts = random_points(50, 3, 8);
-  Rng rng(9);
-  const KnnGraph auto_g = build_knn(pts, 4, rng, 100);
-  const KnnGraph exact = exact_knn(pts, 4);
-  EXPECT_DOUBLE_EQ(knn_recall(auto_g, exact), 1.0);
-}
-
-TEST(BuildKnn, UsesApproximateAboveThreshold) {
-  const Matrix pts = random_points(120, 3, 10);
-  Rng rng(11);
-  const KnnGraph g = build_knn(pts, 5, rng, 50);  // force NN-descent
-  EXPECT_EQ(g.n, 120u);
-  EXPECT_EQ(g.k, 5u);
-  const KnnGraph exact = exact_knn(pts, 5);
-  EXPECT_GT(knn_recall(g, exact), 0.8);
-}
-
 TEST(NnDescent, ScalarPathRecallRegression) {
   // Regression pin for the O(k) NeighborList insertion rewrite and the
   // bounded insertion-scan selection: on the scalar arithmetic path

@@ -306,5 +306,33 @@ TEST(Merge, MergedSketchHasNoZeroRows) {
   }
 }
 
+TEST(Merge, GroupShrinkIsTheStreamingShrink) {
+  // A merge and the streaming sketch run one shrink kernel, so merging a
+  // single stack equals feeding it to FD and compressing, bit for bit.
+  Rng rng(13);
+  const Matrix wide = random_matrix(16, 40, rng);
+  // Rank 3 in d = 5 < ℓ: δ = 0, and both must drop the two null directions
+  // (col 3 = c0 + c1, col 4 = c1 − 2·c2) at the noise floor.
+  Matrix low_rank = random_matrix(12, 5, rng);
+  for (std::size_t i = 0; i < low_rank.rows(); ++i) {
+    low_rank(i, 3) = low_rank(i, 0) + low_rank(i, 1);
+    low_rank(i, 4) = low_rank(i, 1) - 2.0 * low_rank(i, 2);
+  }
+  const Matrix* inputs[] = {&wide, &low_rank};
+  for (const Matrix* x : inputs) {
+    constexpr std::size_t kEll = 8;
+    FrequentDirections fd(FdConfig{kEll, true});
+    fd.append_batch(*x);
+    fd.compress();
+    const Matrix streamed = fd.sketch();
+    const Matrix merged = merge_group({*x}, kEll);
+    ASSERT_EQ(merged.rows(), streamed.rows()) << "cols=" << x->cols();
+    ASSERT_EQ(merged.cols(), streamed.cols());
+    EXPECT_EQ(Matrix::max_abs_diff(merged, streamed), 0.0)
+        << "cols=" << x->cols();
+  }
+  EXPECT_EQ(merge_group({low_rank}, 8).rows(), 3u);
+}
+
 }  // namespace
 }  // namespace arams::core

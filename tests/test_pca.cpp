@@ -10,6 +10,7 @@
 #include "linalg/blas.hpp"
 #include "linalg/norms.hpp"
 #include "linalg/qr.hpp"
+#include "linalg/svd.hpp"
 #include "rng/rng.hpp"
 #include "util/check.hpp"
 
@@ -111,6 +112,23 @@ TEST(Pca, TallSketchPathWorks) {
   const PcaProjector pca(sketch, 3);
   EXPECT_EQ(pca.components(), 3u);
   EXPECT_LT(linalg::orthonormality_defect(pca.basis().transposed()), 1e-8);
+}
+
+TEST(Pca, TallBranchIsJacobi) {
+  // UMAP's PCA init projects the tall n×15 latent; its layout bits rest on
+  // the tall branch being exactly jacobi_svd's leading right vectors.
+  Rng rng(8);
+  Matrix latent(60, 15);
+  for (std::size_t i = 0; i < latent.rows(); ++i) {
+    rng.fill_normal(latent.row(i));
+  }
+  const PcaProjector pca(latent, 2);
+  const linalg::ThinSvd ref = linalg::jacobi_svd(latent);
+  ASSERT_EQ(pca.components(), 2u);
+  EXPECT_EQ(Matrix::max_abs_diff(pca.basis(), ref.vt.slice_rows(0, 2)), 0.0);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(pca.singular_values()[i], ref.sigma[i]);
+  }
 }
 
 TEST(Pca, SingularValuesDescend) {

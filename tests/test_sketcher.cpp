@@ -98,11 +98,25 @@ TEST(SketcherFactory, RoundTripsEveryRegisteredName) {
   EXPECT_THROW(sketcher_description("typo"), CheckError);
 }
 
-TEST(SketcherFactory, AliasesBuildCanonicalBackends) {
-  EXPECT_TRUE(sketcher_registered("gaussian-projection"));
-  EXPECT_EQ(make_sketcher("gaussian-projection", 8, 3)->name(), "gaussian");
-  EXPECT_EQ(make_sketcher("count-sketch", 8, 3)->name(), "countsketch");
-  EXPECT_EQ(make_sketcher("norm-sampling", 8, 3)->name(), "normsample");
+TEST(SketcherFactory, RetiredAliasesAreRejected) {
+  // The pre-redesign factory names are gone; each now fails like any
+  // unknown name, with the registered backends in the message.
+  for (const char* alias : {"gaussian-projection", "count-sketch",
+                            "norm-sampling"}) {
+    EXPECT_FALSE(sketcher_registered(alias));
+    try {
+      (void)make_sketcher(alias, 8, 3);
+      ADD_FAILURE() << alias << " still builds a sketcher";
+    } catch (const CheckError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(std::string("unknown sketcher backend '") + alias),
+                std::string::npos)
+          << msg;
+      for (const auto& name : registered_sketchers()) {
+        EXPECT_NE(msg.find(name), std::string::npos) << msg;
+      }
+    }
+  }
 }
 
 TEST(SketcherFactory, UnknownBackendErrorListsRegistry) {

@@ -1,8 +1,9 @@
-// Tests for the Jacobi SVD and the Gram-trick row-space SVD (the FD
-// production kernel).
+// Tests for the Jacobi SVD and the Gram-trick Σ·Vᵀ SVD (sigma_vt_svd, the
+// FD shrink's and PCA's production kernel) on short-fat and tall shapes.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "data/synthetic.hpp"
@@ -87,10 +88,6 @@ INSTANTIATE_TEST_SUITE_P(Shapes, SvdShapes,
                                            std::pair{8, 40},
                                            std::pair{40, 8}));
 
-TEST(GramRowSvd, RequiresShortFat) {
-  EXPECT_THROW(gram_row_svd(Matrix(5, 3)), CheckError);
-}
-
 class GramSvdShapes : public ::testing::TestWithParam<std::pair<int, int>> {};
 
 TEST_P(GramSvdShapes, MatchesJacobiSigma) {
@@ -98,9 +95,9 @@ TEST_P(GramSvdShapes, MatchesJacobiSigma) {
   Rng rng(static_cast<std::uint64_t>(m * 71 + n));
   const Matrix a = random_matrix(static_cast<std::size_t>(m),
                                  static_cast<std::size_t>(n), rng);
-  const RowSpaceSvd gram = gram_row_svd(a);
+  const SigmaVt gram = sigma_vt_svd(a);
   const ThinSvd ref = jacobi_svd(a);
-  ASSERT_EQ(gram.sigma.size(), static_cast<std::size_t>(m));
+  ASSERT_EQ(gram.sigma.size(), static_cast<std::size_t>(std::min(m, n)));
   for (std::size_t i = 0; i < gram.sigma.size(); ++i) {
     EXPECT_NEAR(gram.sigma[i], ref.sigma[i],
                 1e-7 * std::max(1.0, ref.sigma[0]));
@@ -112,9 +109,12 @@ TEST_P(GramSvdShapes, WRowsReconstructInput) {
   Rng rng(static_cast<std::uint64_t>(m * 73 + n));
   const Matrix a = random_matrix(static_cast<std::size_t>(m),
                                  static_cast<std::size_t>(n), rng);
-  const RowSpaceSvd gram = gram_row_svd(a);
-  // A = U · W where W = Uᵀ A.
-  const Matrix back = matmul(gram.u, gram.w);
+  const SigmaVt gram = sigma_vt_svd(a);
+  // The rows of W span A's row space: projecting A onto them (A·Vᵀ·V with
+  // V = W normalized row by row) gives A back.
+  const Matrix vt = right_vectors(gram.sigma, gram.w, gram.w.rows());
+  ASSERT_EQ(vt.rows(), static_cast<std::size_t>(std::min(m, n)));
+  const Matrix back = matmul(matmul_nt(a, vt), vt);
   EXPECT_LT(Matrix::max_abs_diff(back, a), 1e-9 * std::max(1.0, frobenius_norm(a)));
 }
 
@@ -123,7 +123,7 @@ TEST_P(GramSvdShapes, WRowsMutuallyOrthogonal) {
   Rng rng(static_cast<std::uint64_t>(m * 79 + n));
   const Matrix a = random_matrix(static_cast<std::size_t>(m),
                                  static_cast<std::size_t>(n), rng);
-  const RowSpaceSvd gram = gram_row_svd(a);
+  const SigmaVt gram = sigma_vt_svd(a);
   // Row i has norm sigma[i]; distinct rows are orthogonal.
   for (std::size_t i = 0; i < gram.w.rows(); ++i) {
     EXPECT_NEAR(norm2(gram.w.row(i)), gram.sigma[i],
@@ -135,15 +135,19 @@ TEST_P(GramSvdShapes, WRowsMutuallyOrthogonal) {
   }
 }
 
+// Short-fat shapes take the row-Gram branch, tall ones the column-Gram
+// branch.
 INSTANTIATE_TEST_SUITE_P(Shapes, GramSvdShapes,
                          ::testing::Values(std::pair{1, 4}, std::pair{2, 10},
                                            std::pair{8, 8}, std::pair{10, 50},
-                                           std::pair{32, 100}));
+                                           std::pair{32, 100},
+                                           std::pair{50, 10},
+                                           std::pair{100, 32}));
 
 TEST(RightVectors, OrthonormalRows) {
   Rng rng(91);
   const Matrix a = random_matrix(6, 30, rng);
-  const RowSpaceSvd gram = gram_row_svd(a);
+  const SigmaVt gram = sigma_vt_svd(a);
   const Matrix vt = right_vectors(gram.sigma, gram.w, 4);
   ASSERT_EQ(vt.rows(), 4u);
   EXPECT_LT(orthonormality_defect(vt.transposed()), 1e-8);
@@ -160,7 +164,7 @@ TEST(RightVectors, SkipsNumericallyZeroDirections) {
       a(i, j) = static_cast<double>(i + 1) * base[j];
     }
   }
-  const RowSpaceSvd gram = gram_row_svd(a);
+  const SigmaVt gram = sigma_vt_svd(a);
   const Matrix vt = right_vectors(gram.sigma, gram.w, 3);
   EXPECT_EQ(vt.rows(), 1u);
 }
@@ -235,7 +239,7 @@ TEST(GramRowSvd, LowRankPlusTinyTailIsStable) {
     a(2, j) = -base[j];
     a(3, j) = 2.0 * base[j];
   }
-  const RowSpaceSvd gram = gram_row_svd(a);
+  const SigmaVt gram = sigma_vt_svd(a);
   for (const double s : gram.sigma) {
     EXPECT_FALSE(std::isnan(s));
     EXPECT_GE(s, 0.0);
