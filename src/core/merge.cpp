@@ -137,15 +137,11 @@ Matrix tree_merge(std::vector<Matrix> sketches, std::size_t ell,
                               sc);
       group_seconds[g] = timer.seconds();
     };
-    const bool pooled =
-        pool != nullptr && pool->thread_count() > 1 && groups > 1;
-    if (pooled) {
-      pool->parallel_for(groups, run_group);
+    if (parallel::fans_out(pool, groups)) {
       local.parallel_groups += static_cast<long>(groups);
       groups_dispatched.add(static_cast<long>(groups));
-    } else {
-      for (std::size_t g = 0; g < groups; ++g) run_group(g);
     }
+    parallel::for_each_index(pool, groups, run_group);
     merge_ops.add(static_cast<long>(groups));
     local.merge_ops += static_cast<long>(groups);
     for (std::size_t g = 0; g < groups; ++g) {

@@ -57,12 +57,12 @@ linalg::Matrix serial_merge(std::vector<linalg::Matrix> sketches,
 
 /// Branching reduction with the given arity (default binary). Each level
 /// merges disjoint groups, so only one shrink per level is on the critical
-/// path (critical_path_ops = ⌈log_a P⌉). With a `pool` of more than one
-/// thread every level's groups run concurrently on it; otherwise they run
-/// inline on the calling thread. Group g of a level owns scratch arena g
-/// and writes result slot g, so the reduction is bitwise identical at any
-/// thread count — scheduling decides only *when* a group runs, never what
-/// it computes.
+/// path (critical_path_ops = ⌈log_a P⌉). When parallel::fans_out(pool,
+/// groups) holds, a level's groups run concurrently on `pool`; otherwise
+/// they run inline on the calling thread. Group g of a level owns scratch
+/// arena g and writes result slot g, so the reduction is bitwise identical
+/// at any thread count — scheduling decides only *when* a group runs, never
+/// what it computes.
 linalg::Matrix tree_merge(std::vector<linalg::Matrix> sketches,
                           std::size_t ell, std::size_t arity = 2,
                           MergeStats* stats = nullptr,

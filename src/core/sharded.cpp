@@ -49,15 +49,6 @@ ShardedSketcher::ShardedSketcher(const SketcherConfig& inner,
   inner_name_ = shards_.front().inner->name();
 }
 
-bool ShardedSketcher::use_pool() const {
-  return pool_ != nullptr && pool_->thread_count() > 1 && shards_.size() > 1;
-}
-
-void ShardedSketcher::pool_dispatch(
-    const std::function<void(std::size_t)>& fn) {
-  pool_->parallel_for(shards_.size(), fn);
-}
-
 template <typename Rows>
 void ShardedSketcher::push_rows(const Rows& batch) {
   using T = typename Rows::value_type;
@@ -66,7 +57,7 @@ void ShardedSketcher::push_rows(const Rows& batch) {
   const std::size_t p = shards_.size();
   const std::size_t n = batch.rows();
   const std::size_t cursor = row_cursor_;
-  for_each_shard([&](std::size_t s) {
+  parallel::for_each_index(pool_, p, [&](std::size_t s) {
     Shard& shard = shards_[s];
     const std::size_t first = first_row_for(s, cursor, p);
     const std::size_t count = rows_for(first, n, p);

@@ -13,12 +13,12 @@
 // Concurrency/allocation contract: every shard owns its inner sketcher and
 // grow-only gather buffers (one per precision), so concurrent shard tasks
 // never share mutable state (no locks on the data path) and steady-state
-// ingest performs no heap allocation in the shard work itself. Dispatching
-// onto a ThreadPool costs O(shards) small control allocations per batch;
-// run with pool == nullptr for strictly allocation-free inline ingest.
+// ingest performs no heap allocation in the shard work itself. Shards fan
+// out through parallel::for_each_index: dispatching onto a ThreadPool costs
+// O(shards) small control allocations per batch; run with pool == nullptr
+// for strictly allocation-free inline ingest.
 
 #include <cstddef>
-#include <functional>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -83,25 +83,6 @@ class ShardedSketcher final : public Sketcher {
   /// precision.
   template <typename Rows>
   void push_rows(const Rows& batch);
-
-  /// True when shard work should go to the pool (>1 worker, >1 shard).
-  [[nodiscard]] bool use_pool() const;
-  /// Pooled fan-out, out of line to keep ThreadPool out of this header.
-  void pool_dispatch(const std::function<void(std::size_t)>& fn);
-
-  /// Runs fn(s) for every shard — on the pool when it has >1 worker,
-  /// inline otherwise. Either way shard s does identical work. Templated
-  /// so the inline path never type-erases fn into a std::function (that
-  /// erasure heap-allocates, which would break the allocation-free
-  /// steady-state contract of pool-less ingest).
-  template <typename Fn>
-  void for_each_shard(Fn&& fn) {
-    if (use_pool()) {
-      pool_dispatch(std::function<void(std::size_t)>(std::forward<Fn>(fn)));
-    } else {
-      for (std::size_t s = 0; s < shards_.size(); ++s) fn(s);
-    }
-  }
 
   std::vector<Shard> shards_;
   parallel::ThreadPool* pool_;

@@ -77,18 +77,16 @@ void pairwise_gemm(MatrixView x, MatrixView y,
       }
     }
   };
-  for_row_bands(m, m * n, opts, fix_rows);
+  parallel::for_each_band(row_band_pool(m * n, opts), m, fix_rows);
 }
 
 }  // namespace
 
 parallel::ThreadPool* row_band_pool(std::size_t elements,
                                     const DistanceOptions& opts) {
-  if (!opts.allow_parallel || elements < kElementParallelThreshold) {
-    return nullptr;
-  }
-  parallel::ThreadPool& pool = parallel::shared_pool();
-  return pool.thread_count() >= 2 ? &pool : nullptr;
+  return opts.allow_parallel && elements >= kElementParallelThreshold
+             ? &parallel::shared_pool()
+             : nullptr;
 }
 
 void pairwise_gram(MatrixView x, MatrixView y, Matrix& out) {

@@ -26,7 +26,6 @@
 //
 // Telemetry: every GEMM-backed block bumps "embed.distance_gemm_count".
 
-#include <algorithm>
 #include <cstddef>
 #include <span>
 
@@ -49,29 +48,12 @@ struct DistanceOptions {
   bool allow_parallel = true;
 };
 
-/// The shared pool when `opts.allow_parallel`, the work spans at least
-/// kElementParallelThreshold `elements` and the pool has two or more
-/// workers; nullptr otherwise.
+/// The shared pool when `opts.allow_parallel` and the work spans at least
+/// kElementParallelThreshold `elements`; nullptr otherwise. Callers band
+/// their independent rows with parallel::for_each_band(row_band_pool(…),
+/// rows, band), which runs inline when the pool does not fan out.
 parallel::ThreadPool* row_band_pool(std::size_t elements,
                                     const DistanceOptions& opts);
-
-/// Runs band(r0, r1) over the rows [0, rows): in one call, or across
-/// row_band_pool() as min(rows, 4·workers) contiguous bands. Callers' rows
-/// are independent, so the banding never changes results. The inline call
-/// allocates nothing.
-template <typename BandFn>
-void for_row_bands(std::size_t rows, std::size_t elements,
-                   const DistanceOptions& opts, const BandFn& band) {
-  parallel::ThreadPool* pool = row_band_pool(elements, opts);
-  if (pool == nullptr) {
-    band(std::size_t{0}, rows);
-    return;
-  }
-  const std::size_t bands = std::min(rows, pool->thread_count() * 4);
-  pool->parallel_for(bands, [&](std::size_t t) {
-    band(rows * t / bands, rows * (t + 1) / bands);
-  });
-}
 
 /// out[i] = ‖a.row(i)‖². `out.size()` must equal `a.rows()`.
 void row_sq_norms(linalg::MatrixView a, std::span<double> out);

@@ -7,6 +7,7 @@
 
 #include "linalg/blas.hpp"
 #include "obs/metrics.hpp"
+#include "parallel/thread_pool.hpp"
 #include "util/check.hpp"
 #include "util/stopwatch.hpp"
 
@@ -153,7 +154,8 @@ void exact_knn(const Matrix& points, std::size_t k, linalg::Workspace& ws,
         }
       }
     };
-    for_row_bands(rows, rows * n, opts, select_band);
+    parallel::for_each_band(row_band_pool(rows * n, opts), rows,
+                            select_band);
   }
   knn_seconds().observe(timer.seconds());
 }

@@ -434,9 +434,6 @@ void optimize_layout_batch(Matrix& y, const FuzzyGraph& graph,
   for (std::size_t p = 0; p < parts; ++p) deltas.emplace_back(n, dim);
   Matrix y_prev(n, dim);
 
-  parallel::ThreadPool& pool = parallel::shared_pool();
-  const bool parallel_epochs = pool.thread_count() >= 2;
-
   for (int epoch = 1; epoch <= config.n_epochs; ++epoch) {
     const SgdStep step{a, b, config.repulsion_strength,
                        schedule.alpha(epoch)};
@@ -452,11 +449,8 @@ void optimize_layout_batch(Matrix& y, const FuzzyGraph& graph,
              neg_rng);
       }
     };
-    if (parallel_epochs) {
-      pool.parallel_for(parts, run_partition);
-    } else {
-      for (std::size_t p = 0; p < parts; ++p) run_partition(p);
-    }
+    parallel::for_each_index(&parallel::shared_pool(), parts,
+                             run_partition);
 
     // Deterministic reduction: partition 0 first, always.
     for (std::size_t p = 0; p < parts; ++p) {
@@ -602,7 +596,8 @@ Matrix umap_transform(NeighborSearcher& reference_index,
           reference_embedding, config, a, b, rng, r, y.row(r));
     }
   };
-  for_row_bands(n_new, n_new * n_ref, opts, place_band);
+  parallel::for_each_band(row_band_pool(n_new * n_ref, opts), n_new,
+                          place_band);
   return y;
 }
 

@@ -98,6 +98,8 @@ std::vector<double>& pack_b_scratch() {
   return buf;
 }
 
+/// The shared pool above the flop threshold. The worker-count test only
+/// gates linalg.gemm_parallel_count; parallel::fans_out decides fan-out.
 parallel::ThreadPool* maybe_pool(double flops) {
   if (flops < kParallelFlopThreshold) return nullptr;
   parallel::ThreadPool& pool = parallel::shared_pool();
@@ -320,20 +322,12 @@ void gemm_strided(std::size_t m, std::size_t n, std::size_t k,
         }
       };
 
-      if (pool == nullptr) {
-        run_band(0, m);
-      } else {
-        // Band boundaries are multiples of kMr so no tile straddles two
-        // bands; ~4 bands per worker lets the queue balance load.
-        const std::size_t tiles = (m + kMr - 1) / kMr;
-        const std::size_t bands =
-            std::min(tiles, pool->thread_count() * 4);
-        pool->parallel_for(bands, [&](std::size_t t) {
-          const std::size_t t0 = tiles * t / bands;
-          const std::size_t t1 = tiles * (t + 1) / bands;
-          run_band(t0 * kMr, std::min(t1 * kMr, m));
-        });
-      }
+      // Bands are counted in kMr-row tiles, so band edges are multiples
+      // of kMr and no tile straddles two bands.
+      parallel::for_each_band(pool, (m + kMr - 1) / kMr,
+                              [&](std::size_t t0, std::size_t t1) {
+                                run_band(t0 * kMr, std::min(t1 * kMr, m));
+                              });
     }
   }
 }
@@ -350,7 +344,6 @@ void gram_tiled(std::size_t n, std::size_t len, std::size_t stride,
     out.fill(0.0);
     return;
   }
-  parallel::ThreadPool* pool = maybe_pool(flops);
   const std::size_t tiles = (n + kMr - 1) / kMr;
 
   // One task per 4-row tile of the upper triangle; out-of-range lanes are
@@ -390,11 +383,7 @@ void gram_tiled(std::size_t n, std::size_t len, std::size_t stride,
     }
   };
 
-  if (pool == nullptr) {
-    for (std::size_t ti = 0; ti < tiles; ++ti) do_tile_row(ti);
-  } else {
-    pool->parallel_for(tiles, do_tile_row);
-  }
+  parallel::for_each_index(maybe_pool(flops), tiles, do_tile_row);
 
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < i; ++j) {

@@ -1,10 +1,14 @@
 #include "parallel/thread_pool.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
+#include <string>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/check.hpp"
 
 namespace arams::parallel {
 
@@ -117,13 +121,22 @@ ThreadPool& shared_pool() {
     (void)obs::metrics();
     (void)obs::span_stacks();
     (void)obs::tracer();
-    if (const char* env = std::getenv("ARAMS_POOL_THREADS")) {
-      const long n = std::strtol(env, nullptr, 10);
-      if (n > 0) return static_cast<std::size_t>(n);
-    }
-    return std::size_t{0};  // 0 → hardware_concurrency
+    return pool_threads_from_env(std::getenv("ARAMS_POOL_THREADS"));
   }());
   return pool;
+}
+
+std::size_t pool_threads_from_env(const char* value) {
+  if (value == nullptr) return 0;  // unset → hardware_concurrency
+  const char* end = value + std::strlen(value);
+  std::size_t n = 0;
+  const auto [ptr, ec] = std::from_chars(value, end, n);
+  ARAMS_CHECK(ec == std::errc() && ptr == end && n >= 1 &&
+                  n <= kMaxPoolThreads,
+              "ARAMS_POOL_THREADS must be a whole number in [1, " +
+                  std::to_string(kMaxPoolThreads) + "], got \"" + value +
+                  "\"");
+  return n;
 }
 
 bool ThreadPool::on_worker_thread() const {

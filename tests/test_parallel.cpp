@@ -4,11 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "core/fd.hpp"
 #include "core/merge.hpp"
@@ -18,6 +23,10 @@
 #include "parallel/thread_pool.hpp"
 #include "rng/rng.hpp"
 #include "util/check.hpp"
+
+// Counting global operator new/delete, for the inline fan-out path's
+// no-allocation check.
+#include "counting_new.hpp"
 
 namespace arams::parallel {
 namespace {
@@ -104,6 +113,135 @@ TEST(ThreadPool, NestedParallelForRunsInlineWithoutDeadlock) {
   EXPECT_EQ(counter.load(), 32);
 }
 
+/// What one for_each_index / for_each_band call did: the indices and bands
+/// in call order, and whether every call ran on the calling thread.
+struct FanOutLog {
+  std::vector<std::size_t> indices;
+  std::vector<std::pair<std::size_t, std::size_t>> bands;
+  bool all_on_caller = true;
+};
+
+FanOutLog run_both(ThreadPool* pool, std::size_t n) {
+  FanOutLog log;
+  std::mutex mutex;
+  const std::thread::id caller = std::this_thread::get_id();
+  for_each_index(pool, n, [&](std::size_t i) {
+    const std::lock_guard<std::mutex> lock(mutex);
+    log.indices.push_back(i);
+    log.all_on_caller &= std::this_thread::get_id() == caller;
+  });
+  for_each_band(pool, n, [&](std::size_t i0, std::size_t i1) {
+    const std::lock_guard<std::mutex> lock(mutex);
+    log.bands.emplace_back(i0, i1);
+    log.all_on_caller &= std::this_thread::get_id() == caller;
+  });
+  return log;
+}
+
+/// Inline: every index in ascending order, one band [0, n), all on the
+/// calling thread.
+void expect_inline(ThreadPool* pool, std::size_t n) {
+  EXPECT_FALSE(fans_out(pool, n));
+  const FanOutLog log = run_both(pool, n);
+  std::vector<std::size_t> ascending(n);
+  for (std::size_t i = 0; i < n; ++i) ascending[i] = i;
+  EXPECT_EQ(log.indices, ascending);
+  if (n == 0) {
+    EXPECT_TRUE(log.bands.empty());
+  } else {
+    ASSERT_EQ(log.bands.size(), 1u);
+    EXPECT_EQ(log.bands.front(), std::make_pair(std::size_t{0}, n));
+  }
+  EXPECT_TRUE(log.all_on_caller);
+}
+
+TEST(FanOut, RunsInlineWithoutAUsablePool) {
+  expect_inline(nullptr, 9);
+  ThreadPool one(1);
+  expect_inline(&one, 9);
+  ThreadPool two(2);
+  expect_inline(&two, 0);
+  expect_inline(&two, 1);
+}
+
+TEST(FanOut, RunsInlineInsideItsOwnWorkers) {
+  ThreadPool pool(2);
+  pool.submit([&pool] { expect_inline(&pool, 9); }).get();
+}
+
+TEST(FanOut, EveryIndexRunsExactlyOnceOnTwoWorkers) {
+  ThreadPool pool(2);
+  ASSERT_TRUE(fans_out(&pool, 2));
+  for (const std::size_t n : {2u, 3u, 37u}) {
+    std::vector<std::atomic<int>> hits(n);
+    for_each_index(&pool, n, [&hits](std::size_t i) { ++hits[i]; });
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+  }
+}
+
+TEST(FanOut, BandsTileTheRangeInFourPerWorker) {
+  ThreadPool pool(2);
+  for (const std::size_t n : {2u, 3u, 7u, 8u, 9u, 100u}) {
+    FanOutLog log = run_both(&pool, n);
+    std::sort(log.bands.begin(), log.bands.end());
+    ASSERT_EQ(log.bands.size(), std::min<std::size_t>(n, 8)) << n;
+    EXPECT_EQ(log.bands.front().first, 0u) << n;
+    EXPECT_EQ(log.bands.back().second, n) << n;
+    for (std::size_t b = 0; b < log.bands.size(); ++b) {
+      EXPECT_LT(log.bands[b].first, log.bands[b].second) << n;
+      if (b + 1 < log.bands.size()) {
+        EXPECT_EQ(log.bands[b].second, log.bands[b + 1].first) << n;
+      }
+    }
+  }
+}
+
+TEST(FanOut, InlinePathDoesNotAllocate) {
+  ThreadPool one(1);
+  ThreadPool two(2);
+  double sum = 0.0;
+  const auto add_index = [&sum](std::size_t i) {
+    sum += static_cast<double>(i);
+  };
+  const auto add_band = [&sum](std::size_t i0, std::size_t i1) {
+    sum += static_cast<double>(i1 - i0);
+  };
+  const long before = g_heap_allocations.load(std::memory_order_relaxed);
+  for_each_index(nullptr, 64, add_index);
+  for_each_band(nullptr, 64, add_band);
+  for_each_index(&one, 64, add_index);
+  for_each_band(&one, 64, add_band);
+  for_each_index(&two, 1, add_index);
+  for_each_band(&two, 1, add_band);
+  const long after = g_heap_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after, before);
+  EXPECT_EQ(sum, 2.0 * (63.0 * 64.0 / 2.0) + 2.0 * 64.0 + 1.0);
+}
+
+TEST(PoolThreadsEnv, UnsetMeansHardwareConcurrency) {
+  EXPECT_EQ(pool_threads_from_env(nullptr), 0u);
+}
+
+TEST(PoolThreadsEnv, AcceptsWholeNumbersUpToTheCap) {
+  EXPECT_EQ(pool_threads_from_env("1"), 1u);
+  EXPECT_EQ(pool_threads_from_env("4"), 4u);
+  EXPECT_EQ(pool_threads_from_env("1024"), kMaxPoolThreads);
+}
+
+TEST(PoolThreadsEnv, RejectsEverythingElseByName) {
+  for (const char* bad : {"4x", "abc", "0", "-3", "", "1025", " 4", "+4",
+                          "4.0", "99999999999999999999999"}) {
+    try {
+      (void)pool_threads_from_env(bad);
+      ADD_FAILURE() << "accepted \"" << bad << "\"";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("ARAMS_POOL_THREADS"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 Matrix shard_data(std::size_t rows, std::size_t d, std::uint64_t seed) {
   Matrix m(rows, d);
   Rng rng(seed);
@@ -132,11 +270,7 @@ ShardedRun sketch_and_merge(const std::vector<Matrix>& shards,
     fd.compress();
     sketches[c] = fd.sketch();
   };
-  if (pool != nullptr) {
-    pool->parallel_for(shards.size(), sketch_shard);
-  } else {
-    for (std::size_t c = 0; c < shards.size(); ++c) sketch_shard(c);
-  }
+  for_each_index(pool, shards.size(), sketch_shard);
   ShardedRun run;
   run.sketch = merge == MergeKind::kTree
                    ? core::tree_merge(std::move(sketches), kEll, 2,

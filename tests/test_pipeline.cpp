@@ -5,6 +5,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <utility>
+#include <vector>
 
 #include "cluster/metrics.hpp"
 #include "core/arams_sketch.hpp"
@@ -12,6 +16,7 @@
 #include "embed/metrics.hpp"
 #include "image/image.hpp"
 #include "linalg/blas.hpp"
+#include "obs/flight_recorder.hpp"
 #include "stream/pipeline.hpp"
 #include "stream/source.hpp"
 #include "util/check.hpp"
@@ -92,6 +97,46 @@ TEST(Pipeline, BeamProfileEndToEndShapes) {
     EXPECT_TRUE(result.report.has_stage(stage)) << stage;
   }
   EXPECT_GT(result.report.counter("svd_count"), 0);
+}
+
+TEST(Pipeline, JournalsOneStageCompletePerStage) {
+  data::BeamProfileConfig beam;
+  beam.height = 16;
+  beam.width = 16;
+  BeamProfileSource source(beam, 80, 120.0, 4);
+  std::vector<image::ImageF> frames;
+  for (auto& event : drain(source, 80)) {
+    frames.push_back(std::move(event.frame));
+  }
+
+  // A marker on this thread's journal: its timestamp and journal ordinal
+  // select exactly the events the analyze() below writes on this thread.
+  constexpr std::uint64_t kMarkerShot = 0x57a6e;
+  obs::flight_recorder().record(obs::FlightCode::kCustom, kMarkerShot);
+  const PipelineResult result =
+      MonitoringPipeline(fast_pipeline()).analyze(frames);
+
+  const std::vector<obs::FlightEvent> events = obs::flight_recorder().drain();
+  const auto marker = std::find_if(
+      events.rbegin(), events.rend(), [](const obs::FlightEvent& e) {
+        return e.code == obs::FlightCode::kCustom && e.shot_id == kMarkerShot;
+      });
+  ASSERT_NE(marker, events.rend());
+  std::vector<obs::FlightEvent> stages;
+  for (const auto& e : events) {
+    if (e.code == obs::FlightCode::kStageComplete &&
+        e.thread == marker->thread && e.t_seconds >= marker->t_seconds) {
+      stages.push_back(e);
+    }
+  }
+  // detail is the FlightStage id: 1 preprocess … 5 cluster.
+  const char* const names[] = {"preprocess", "sketch", "project", "embed",
+                               "cluster"};
+  ASSERT_EQ(stages.size(), std::size(names));
+  for (std::size_t i = 0; i < stages.size(); ++i) {
+    EXPECT_EQ(stages[i].detail, i + 1) << names[i];
+    EXPECT_EQ(stages[i].value, result.report.seconds(names[i])) << names[i];
+  }
 }
 
 TEST(Pipeline, DiffractionClassesRecovered) {
